@@ -148,8 +148,7 @@ BENCHMARK(BM_FullStabilizationRun_FastEngine)->Arg(1 << 10)->Arg(1 << 13);
 /// measures what the fast path buys at the Engine-interface level (virtual
 /// step dispatch and all), not just in a hand-rolled loop.
 void BM_EngineRun(benchmark::State& state, core::Variant variant,
-                  core::EngineKind kind,
-                  core::KernelKind kernel = core::KernelKind::Auto) {
+                  core::EngineKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const graph::Graph g = make_er(n);
   std::uint64_t seed = 0;
@@ -159,7 +158,6 @@ void BM_EngineRun(benchmark::State& state, core::Variant variant,
     core::EngineConfig config;
     config.variant = variant;
     config.kind = kind;
-    config.kernel = kernel;
     config.seed = ++seed;
     auto engine = core::make_engine(g, config);
     support::Rng irng = support::Rng(seed).derive_stream(0xfadedcafe);
@@ -189,19 +187,6 @@ BENCHMARK_CAPTURE(BM_EngineRun, v3_fast, core::Variant::TwoChannel,
     ->Arg(1 << 10);
 BENCHMARK_CAPTURE(BM_EngineRun, v3_reference, core::Variant::TwoChannel,
                   core::EngineKind::Reference)
-    ->Arg(1 << 10);
-// Round-kernel triple on the one-channel variant: the same factory-built
-// workload pinned to each stream-identical kernel, so kernel regressions
-// show up at the Engine-interface level too (beepmis_report groups these
-// into its kernel table next to the BM_FastEngineKernel anchor points).
-BENCHMARK_CAPTURE(BM_EngineRun, v1_fast_scalar, core::Variant::GlobalDelta,
-                  core::EngineKind::Fast, core::KernelKind::Scalar)
-    ->Arg(1 << 10);
-BENCHMARK_CAPTURE(BM_EngineRun, v1_fast_bit, core::Variant::GlobalDelta,
-                  core::EngineKind::Fast, core::KernelKind::Bit)
-    ->Arg(1 << 10);
-BENCHMARK_CAPTURE(BM_EngineRun, v1_fast_frontier, core::Variant::GlobalDelta,
-                  core::EngineKind::Fast, core::KernelKind::Frontier)
     ->Arg(1 << 10);
 
 /// Swallows everything — lets the sink-overhead pair measure event
@@ -240,41 +225,6 @@ void BM_FastEngineRun_NoSink(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_FastEngineRun_NoSink)->Arg(10240);
-
-/// The kernel A/B anchor: the NoSink workload (n = 10240 Erdős–Rényi,
-/// avg degree 8, uniform-random init, run to stabilization) pinned to one
-/// round kernel. beepmis_report pairs each kernel against scalar — the
-/// headline claim is ≥ 5× for the best packed kernel on this point.
-void BM_FastEngineKernel(benchmark::State& state, core::KernelKind kernel) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const graph::Graph g = make_er(n);
-  const auto lmax = core::lmax_global_delta(g);
-  std::uint64_t seed = 0;
-  std::uint64_t rounds = 0;
-  bench::PerfCapture perf;
-  for (auto _ : state) {
-    core::FastMisEngine fast(g, lmax, ++seed, {}, beep::Duplex::Full,
-                             kernel);
-    support::Rng irng(seed);
-    for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
-      const auto span = static_cast<std::uint64_t>(2 * lmax[v] + 1);
-      fast.set_level(v,
-                     static_cast<std::int32_t>(irng.below(span)) - lmax[v]);
-    }
-    rounds += fast.run_to_stabilization(100000);
-    benchmark::DoNotOptimize(fast.round());
-  }
-  for (const auto& [cname, v] : perf.per_iteration(state.iterations()))
-    state.counters[cname] = v;
-  state.SetItemsProcessed(static_cast<std::int64_t>(rounds) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK_CAPTURE(BM_FastEngineKernel, scalar, core::KernelKind::Scalar)
-    ->Arg(10240);
-BENCHMARK_CAPTURE(BM_FastEngineKernel, bit, core::KernelKind::Bit)
-    ->Arg(10240);
-BENCHMARK_CAPTURE(BM_FastEngineKernel, frontier, core::KernelKind::Frontier)
-    ->Arg(10240);
 
 /// Intra-round sharding A/B at n = 10⁶ (streamed Erdős–Rényi, avg degree
 /// 8): the same stabilization run with the sharded kernel at 1/2/4/8

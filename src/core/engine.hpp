@@ -43,18 +43,16 @@ std::string engine_kind_name(EngineKind k);
 /// Returns false (leaving `out` untouched) on an unknown name.
 bool parse_engine_kind(const std::string& name, EngineKind* out);
 
-/// Round-kernel selection for the fast engine. All three kernels are proven
-/// stream-identical (same levels, same RoundEvents, round for round — see
-/// tests/test_kernels.cpp), so the choice never changes a result, only the
-/// wall-clock; Auto resolves deterministically (currently: always Frontier).
-/// Irrelevant under receiver noise, where every kernel runs the same dense
-/// full sweep.
+/// Round-kernel selection for the fast engine. Both kernels are proven
+/// stream-identical to the reference beep::Simulation (same levels, same
+/// RoundEvents, round for round — see tests/test_kernels.cpp), so the choice
+/// never changes a result, only the wall-clock; Auto resolves
+/// deterministically (see resolve_kernel). Irrelevant under receiver noise,
+/// where every kernel runs the same dense full sweep.
 enum class KernelKind {
   Auto,      ///< let the engine choose (deterministic per config)
-  Scalar,    ///< per-vertex loops over CSR — the oracle the others are proven against
-  Bit,       ///< bit-packed send/heard masks, word-wide OR over blocked adjacency
   Frontier,  ///< beeper-frontier push/pull visiting only what can change
-  Sharded,   ///< bit-kernel round split into word-aligned shards on a TaskPool
+  Sharded,   ///< frontier round split into word-aligned shards on a TaskPool
 };
 
 std::string kernel_kind_name(KernelKind k);
@@ -63,8 +61,8 @@ bool parse_kernel_kind(const std::string& name, KernelKind* out);
 
 /// Deterministic Auto resolution — a pure function of the requested kind, so
 /// the same config always runs the same kernel (the determinism gates diff
-/// runs byte-for-byte). Currently Auto -> Frontier, the measured winner on
-/// the sparse benchmark families. Defined in round_kernel.cpp.
+/// runs byte-for-byte). Auto -> Frontier, the faster kernel on one core.
+/// Defined in round_kernel.cpp.
 KernelKind resolve_kernel(KernelKind kind) noexcept;
 
 /// Config-aware overload: with intra-round parallelism requested
@@ -148,8 +146,8 @@ class Engine {
 
   /// Executor identity for manifests/logs, e.g. "fast-alg1".
   virtual std::string name() const = 0;
-  /// Resolved round-kernel identity for manifests/logs ("scalar", "bit",
-  /// "frontier"); "none" for executors without a kernel layer (reference).
+  /// Resolved round-kernel identity for manifests/logs ("frontier",
+  /// "sharded"); "none" for executors without a kernel layer (reference).
   virtual std::string kernel_name() const { return "none"; }
   virtual const graph::Graph& graph() const noexcept = 0;
   /// Rounds executed so far.

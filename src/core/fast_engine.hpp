@@ -32,11 +32,11 @@ namespace beepmis::core {
 ///   kHasLemma31    whether the Lemma 3.1 analysis census applies
 ///   kTag           short id for metric keys and engine names
 ///   min_level / member_level / is_prominent   level-encoding facts
-///   decide(l, lmax, rng)      beep decision; draws a coin exactly when the
-///                             reference algorithm does (coin-for-coin)
-///   decide_coin(l, lmax, coin)  the same decision against any coin source —
-///                             coin(k) is a Bernoulli(2^-k) trial; the round
-///                             kernels pass counter-draw lambdas here
+///   decide_coin(l, lmax, coin)  beep decision against any coin source —
+///                             coin(k) is a Bernoulli(2^-k) trial, drawn
+///                             exactly when the reference algorithm draws
+///                             (coin-for-coin); the dense sweep passes
+///                             CounterCoin here
 ///   update(l, lmax, sent, heard)  the level transition
 ///   corrupt_level(lmax, rng)  uniform in-range RAM value (fault model)
 struct Alg1Policy {
@@ -61,12 +61,6 @@ struct Alg1Policy {
     // p = min{2^-ℓ, 1}: certain for ℓ ≤ 0, exact power-of-two coin else.
     const bool beep = l <= 0 || coin(static_cast<unsigned>(l));
     return beep ? beep::kChannel1 : beep::ChannelMask{0};
-  }
-
-  static beep::ChannelMask decide(std::int32_t l, std::int32_t lmax,
-                                  support::Rng& rng) {
-    return decide_coin(l, lmax,
-                       [&rng](unsigned k) { return rng.bernoulli_pow2(k); });
   }
 
   static std::int32_t update(std::int32_t l, std::int32_t lmax,
@@ -121,12 +115,6 @@ struct Alg2Policy {
     return 0;
   }
 
-  static beep::ChannelMask decide(std::int32_t l, std::int32_t lmax,
-                                  support::Rng& rng) {
-    return decide_coin(l, lmax,
-                       [&rng](unsigned k) { return rng.bernoulli_pow2(k); });
-  }
-
   static std::int32_t update(std::int32_t l, std::int32_t lmax,
                              beep::ChannelMask sent,
                              beep::ChannelMask heard) noexcept {
@@ -171,8 +159,9 @@ struct Alg2Policy {
 /// coordinate, independent of visit order — and coins are drawn in exactly
 /// the same cases, so levels agree round-for-round (tested exhaustively in
 /// test_fast_engine.cpp). The sparse round itself is executed by a pluggable
-/// core::RoundKernel (scalar / bit / frontier — see round_kernel.hpp), all
-/// three proven stream-identical, so the kernel choice only moves wall-clock.
+/// core::RoundKernel (frontier / sharded — see round_kernel.hpp), both
+/// proven stream-identical to the reference, so the kernel choice only moves
+/// wall-clock.
 /// The full model surface is covered:
 ///  - corrupt() mid-run invalidates settlement locally (the 2-hop patch
 ///    around the corrupted vertex), not globally;
@@ -206,7 +195,7 @@ class FastEngine final : public Engine {
   std::string name() const override {
     return std::string("fast-") + Policy::kTag;
   }
-  /// The resolved round kernel ("scalar" / "bit" / "frontier" / "sharded").
+  /// The resolved round kernel ("frontier" / "sharded").
   std::string kernel_name() const override {
     return kernel_kind_name(kernel_kind_);
   }
@@ -253,8 +242,8 @@ class FastEngine final : public Engine {
   }
   /// Routes internal timers into `registry` (may be null to detach); keyed
   /// by variant and resolved kernel
-  /// ("fast_engine.<tag>.<kernel>.refresh_settlement") so scalar and
-  /// bit/frontier timings are never conflated in reports. Both the
+  /// ("fast_engine.<tag>.<kernel>.refresh_settlement") so frontier and
+  /// sharded timings are never conflated in reports. Both the
   /// cumulative TimerStat and the "...refresh_settlement_ns" duration digest
   /// (p50/p95/p99 of individual refreshes) are resolved once here.
   void set_metrics(obs::MetricsRegistry* registry) override {
@@ -298,7 +287,7 @@ class FastEngine final : public Engine {
   beep::Duplex duplex_ = beep::Duplex::Full;
   support::Rng noise_rng_{0};
   bool dense_ = false;  // noise breaks permanence; run full sweeps
-  KernelKind kernel_kind_ = KernelKind::Scalar;  // resolved, never Auto
+  KernelKind kernel_kind_ = KernelKind::Frontier;  // resolved, never Auto
   std::unique_ptr<RoundKernel<Policy>> kernel_;
   // Kernel-private caches go stale whenever settlement is rebuilt or patched
   // outside a round; the kernel re-syncs lazily at the next sparse step.

@@ -10,7 +10,7 @@ namespace beepmis::core {
 /// omniscient mis:: checkers), and level-range sanity — every ℓ(v) inside
 /// the variant's admissible [member_level(v), lmax(v)] window. Kernel- and
 /// engine-independent: the settlement view (mis_members / is_stabilized /
-/// level) is part of the stream-identical Engine surface, so all three fast
+/// level) is part of the stream-identical Engine surface, so both fast
 /// kernels and the reference executor probe to identical results.
 obs::InvariantProbeResult probe_invariants(const Engine& engine);
 

@@ -8,7 +8,6 @@
 
 #include "src/core/fast_engine.hpp"
 #include "src/core/kernel_simd.hpp"
-#include "src/graph/packed.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/check.hpp"
 #include "src/support/task_pool.hpp"
@@ -32,349 +31,6 @@ void prune_active(const KernelContext<Policy>& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// ScalarKernel — the oracle. A straight port of the original FastEngine
-// sparse round: per-vertex neighbor scans over the active list, settlement by
-// explicit neighborhood checks. Every other kernel is validated against this
-// stream (tests/test_kernels.cpp), which in turn is validated against
-// beep::Simulation under RngMode::Counter (tests/test_fast_engine.cpp).
-// ---------------------------------------------------------------------------
-template <typename Policy>
-class ScalarKernel final : public RoundKernel<Policy> {
- public:
-  explicit ScalarKernel(const KernelContext<Policy>& ctx) : ctx_(ctx) {}
-
-  const char* name() const noexcept override { return "scalar"; }
-
-  // Reads the engine's vectors directly every round; nothing cached.
-  void rebuild() override {}
-
-  void step_sparse(std::uint64_t round, bool observing,
-                   SparseCensus& census) override {
-    const graph::Graph& g = *ctx_.graph;
-    const auto& lmax = *ctx_.lmax;
-    auto& levels = *ctx_.levels;
-    auto& settled = *ctx_.settled;
-    auto& active = *ctx_.active;
-    auto& send = *ctx_.send;
-    const bool half = ctx_.half;
-    const std::size_t n = levels.size();
-
-    // Phase 1: beep decisions for active vertices (settled members beep too,
-    // but their contribution is looked up from settled_ instead of stored;
-    // settled dominated vertices are silent: p at the cap is 0).
-    const std::uint64_t rs = support::counter_round_state(ctx_.seed, round);
-    for (graph::VertexId v : active) {
-      const beep::ChannelMask m =
-          Policy::decide_coin(levels[v], lmax[v], CounterCoin{rs, v});
-      send[v] = m;
-      census.active_beeps[0] += m & 1u;
-      if constexpr (Policy::kChannels > 1)
-        census.active_beeps[1] += (m >> 1) & 1u;
-    }
-
-    // Phase 2: feedback + update, active vertices only. The scan may stop
-    // once the bits that determine the update (kDominantHeard) are resolved;
-    // while observing it continues until every channel bit is known so heard
-    // counts match the reference simulator bit-for-bit. A half-duplex beeper
-    // learns nothing: its feedback is zero and the scan is skipped entirely.
-    constexpr auto kFullMask =
-        static_cast<beep::ChannelMask>((1u << Policy::kChannels) - 1u);
-    [[maybe_unused]] const beep::ChannelMask stop =
-        observing ? kFullMask : Policy::kDominantHeard;
-    for (graph::VertexId v : active) {
-      beep::ChannelMask heard = 0;
-      if (!half || !send[v]) {
-        if constexpr (Policy::kChannels == 1) {
-          // Single channel: the first audible beeper resolves the whole
-          // mask, so the scan keeps the cheap boolean early-exit shape.
-          for (graph::VertexId u : g.neighbors(v)) {
-            if (settled[u] == 1 || (settled[u] == 0 && send[u])) {
-              heard = beep::kChannel1;
-              break;
-            }
-          }
-        } else {
-          for (graph::VertexId u : g.neighbors(v)) {
-            if (settled[u] == 1)
-              heard |= Policy::kMemberBeep;
-            else if (settled[u] == 0)
-              heard |= send[u];
-            if ((heard & stop) == stop) break;
-          }
-        }
-      }
-      census.active_heard[0] += heard & 1u;
-      if constexpr (Policy::kChannels > 1) {
-        census.active_heard[1] += (heard >> 1) & 1u;
-        census.active_heard_any += heard ? 1 : 0;
-      }
-      levels[v] = Policy::update(levels[v], lmax[v], send[v], heard);
-    }
-
-    // Post-update level census over old settled + still-listed active covers
-    // every vertex exactly once (phase 3 has not pruned yet). Settled
-    // dominated vertices hear their member's channel every round; for a
-    // two-channel policy the other channel depends on active neighbors and
-    // needs an explicit sweep, still paid only while observing.
-    if (observing) {
-      for (graph::VertexId v : active)
-        census.prominent_active += Policy::is_prominent(levels[v]) ? 1 : 0;
-      if constexpr (Policy::kChannels > 1) {
-        for (graph::VertexId v = 0; v < n; ++v) {
-          if (settled[v] != 2) continue;
-          for (graph::VertexId u : g.neighbors(v)) {
-            if (settled[u] == 0 && (send[u] & beep::kChannel1)) {
-              ++census.dom_heard_extra;
-              break;
-            }
-          }
-        }
-      }
-    }
-
-    // Phase 3: settle newly frozen vertices. Members first (their neighbors
-    // are at their caps by definition), then a dominated sweep — run every
-    // round, because an active vertex can climb back to its cap next to an
-    // *old* settled member and must still leave the active set.
-    bool any_settled = false;
-    for (graph::VertexId v : active) {
-      if (levels[v] == Policy::member_level(lmax[v]) && member_settled(v)) {
-        settled[v] = 1;
-        ++*ctx_.mis_count;
-        any_settled = true;
-      }
-    }
-    for (graph::VertexId v : active) {
-      if (settled[v] || levels[v] != lmax[v]) continue;
-      for (graph::VertexId u : g.neighbors(v)) {
-        if (settled[u] == 1) {
-          settled[v] = 2;
-          any_settled = true;
-          break;
-        }
-      }
-    }
-    if (any_settled) prune_active(ctx_);
-  }
-
- private:
-  bool member_settled(graph::VertexId v) const {
-    const auto& levels = *ctx_.levels;
-    const auto& lmax = *ctx_.lmax;
-    if (levels[v] != Policy::member_level(lmax[v])) return false;
-    for (graph::VertexId u : ctx_.graph->neighbors(v))
-      if (levels[u] != lmax[u]) return false;
-    return true;
-  }
-
-  KernelContext<Policy> ctx_;
-};
-
-// ---------------------------------------------------------------------------
-// BitKernel — word-parallel execution over bit-packed vertex masks. The
-// per-round state (active / member / member-neighbor / capped / send) lives
-// in n-bit masks; "did v hear channel c" is a blocked-CSR walk ANDing v's
-// neighborhood blocks against the packed audibility mask (one load per
-// 64-vertex word of neighbors instead of two byte loads per neighbor), and
-// member settlement is the word-parallel test "all neighbor blocks clear of
-// ~capped". Levels are mirrored in int8 for decision-phase locality.
-// ---------------------------------------------------------------------------
-template <typename Policy>
-class BitKernel final : public RoundKernel<Policy> {
- public:
-  explicit BitKernel(const KernelContext<Policy>& ctx)
-      : ctx_(ctx), packed_(*ctx.graph) {
-    const std::size_t n = ctx_.levels->size();
-    words_ = packed_.word_count();
-    active_mask_.assign(words_, 0);
-    member_mask_.assign(words_, 0);
-    member_nb_mask_.assign(words_, 0);
-    capped_mask_.assign(words_, 0);
-    for (unsigned ch = 0; ch < 2; ++ch) {
-      send_mask_[ch].assign(words_, 0);
-      audible_[ch].assign(words_, 0);
-    }
-    lvl8_.assign(n, 0);
-    lmax8_.assign(n, 0);
-    const auto& lmax = *ctx_.lmax;
-    for (std::size_t v = 0; v < n; ++v) {
-      // int8 mirrors are exact: caps are O(log Δ) + c1 ≲ 100 in practice,
-      // and levels live in [-lmax, lmax]. Guarded, not assumed.
-      BEEPMIS_CHECK(lmax[v] <= 127, "bit kernel requires lmax <= 127");
-      lmax8_[v] = static_cast<std::int8_t>(lmax[v]);
-    }
-  }
-
-  const char* name() const noexcept override { return "bit"; }
-
-  void rebuild() override {
-    const auto& levels = *ctx_.levels;
-    const auto& settled = *ctx_.settled;
-    const auto& lmax = *ctx_.lmax;
-    const std::size_t n = levels.size();
-    std::fill(active_mask_.begin(), active_mask_.end(), 0);
-    std::fill(member_mask_.begin(), member_mask_.end(), 0);
-    std::fill(member_nb_mask_.begin(), member_nb_mask_.end(), 0);
-    std::fill(capped_mask_.begin(), capped_mask_.end(), 0);
-    for (graph::VertexId v = 0; v < n; ++v) {
-      lvl8_[v] = static_cast<std::int8_t>(levels[v]);
-      const std::uint64_t bit = 1ull << (v & 63u);
-      if (settled[v] == 0) active_mask_[v >> 6] |= bit;
-      if (settled[v] == 1) {
-        member_mask_[v >> 6] |= bit;
-        for (const auto& blk : packed_.blocks(v))
-          member_nb_mask_[blk.word] |= blk.mask;
-      }
-      if (levels[v] == lmax[v]) capped_mask_[v >> 6] |= bit;
-    }
-  }
-
-  void step_sparse(std::uint64_t round, bool observing,
-                   SparseCensus& census) override {
-    const auto& lmax = *ctx_.lmax;
-    auto& levels = *ctx_.levels;
-    auto& settled = *ctx_.settled;
-    auto& active = *ctx_.active;
-    auto& send = *ctx_.send;
-    const bool half = ctx_.half;
-    const std::size_t n = levels.size();
-
-    // Phase 1: decisions, from the int8 mirrors into the send masks.
-    std::fill(send_mask_[0].begin(), send_mask_[0].end(), 0);
-    if constexpr (Policy::kChannels > 1)
-      std::fill(send_mask_[1].begin(), send_mask_[1].end(), 0);
-    const std::uint64_t rs = support::counter_round_state(ctx_.seed, round);
-    for (graph::VertexId v : active) {
-      const beep::ChannelMask m =
-          Policy::decide_coin(lvl8_[v], lmax8_[v], CounterCoin{rs, v});
-      send[v] = m;
-      const std::uint64_t bit = 1ull << (v & 63u);
-      if (m & 1u) send_mask_[0][v >> 6] |= bit;
-      if constexpr (Policy::kChannels > 1)
-        if (m & 2u) send_mask_[1][v >> 6] |= bit;
-    }
-    for (const auto& w : send_mask_[0])
-      census.active_beeps[0] += static_cast<std::uint32_t>(std::popcount(w));
-    if constexpr (Policy::kChannels > 1)
-      for (const auto& w : send_mask_[1])
-        census.active_beeps[1] += static_cast<std::uint32_t>(std::popcount(w));
-
-    // Per-channel audibility: active beepers plus (on the member channel)
-    // every settled member. Settled dominated vertices are silent.
-    for (unsigned ch = 0; ch < Policy::kChannels; ++ch) {
-      const bool member_ch = (Policy::kMemberBeep >> ch) & 1u;
-      for (std::size_t w = 0; w < words_; ++w)
-        audible_[ch][w] =
-            send_mask_[ch][w] | (member_ch ? member_mask_[w] : 0);
-    }
-
-    // Phase 2: feedback + update via blocked walks. Non-observing walks may
-    // stop at the dominant mask, exactly like the scalar early exit.
-    constexpr auto kFullMask =
-        static_cast<beep::ChannelMask>((1u << Policy::kChannels) - 1u);
-    const beep::ChannelMask stop =
-        observing ? kFullMask : Policy::kDominantHeard;
-    for (graph::VertexId v : active) {
-      beep::ChannelMask heard = 0;
-      if (!half || !send[v]) {
-        for (const auto& blk : packed_.blocks(v)) {
-          if (audible_[0][blk.word] & blk.mask) heard |= beep::kChannel1;
-          if constexpr (Policy::kChannels > 1)
-            if (audible_[1][blk.word] & blk.mask) heard |= beep::kChannel2;
-          if ((heard & stop) == stop) break;
-        }
-      }
-      census.active_heard[0] += heard & 1u;
-      if constexpr (Policy::kChannels > 1) {
-        census.active_heard[1] += (heard >> 1) & 1u;
-        census.active_heard_any += heard ? 1 : 0;
-      }
-      const std::int32_t l = Policy::update(levels[v], lmax[v], send[v], heard);
-      levels[v] = l;
-      lvl8_[v] = static_cast<std::int8_t>(l);
-      const std::uint64_t bit = 1ull << (v & 63u);
-      if (l == lmax[v])
-        capped_mask_[v >> 6] |= bit;
-      else
-        capped_mask_[v >> 6] &= ~bit;
-    }
-
-    if (observing) {
-      for (graph::VertexId v : active)
-        census.prominent_active += Policy::is_prominent(levels[v]) ? 1 : 0;
-      if constexpr (Policy::kChannels > 1) {
-        // send_mask_[0] holds only active ch1 beepers, so one blocked AND
-        // answers "does this settled dominated vertex hear channel 1".
-        for (graph::VertexId v = 0; v < n; ++v) {
-          if (settled[v] != 2) continue;
-          for (const auto& blk : packed_.blocks(v)) {
-            if (send_mask_[0][blk.word] & blk.mask) {
-              ++census.dom_heard_extra;
-              break;
-            }
-          }
-        }
-      }
-    }
-
-    // Phase 3a: member settlement — v at member level with *every* neighbor
-    // capped, i.e. no neighbor block intersects ~capped. Word-parallel per
-    // block; the member pass fully precedes the dominated pass, and settling
-    // changes no level, so iteration order inside the pass cannot matter.
-    bool any_settled = false;
-    for (graph::VertexId v : active) {
-      if (levels[v] != Policy::member_level(lmax[v])) continue;
-      bool all_capped = true;
-      for (const auto& blk : packed_.blocks(v)) {
-        if (blk.mask & ~capped_mask_[blk.word]) {
-          all_capped = false;
-          break;
-        }
-      }
-      if (!all_capped) continue;
-      settled[v] = 1;
-      ++*ctx_.mis_count;
-      any_settled = true;
-      const std::uint64_t bit = 1ull << (v & 63u);
-      member_mask_[v >> 6] |= bit;
-      active_mask_[v >> 6] &= ~bit;
-      for (const auto& blk : packed_.blocks(v))
-        member_nb_mask_[blk.word] |= blk.mask;
-    }
-
-    // Phase 3b: dominated settlement, fully word-parallel — still active,
-    // at the cap, with a settled member neighbor (the member-neighbor mask
-    // already includes members settled this round).
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t cand =
-          active_mask_[w] & capped_mask_[w] & member_nb_mask_[w];
-      while (cand) {
-        const auto v = static_cast<graph::VertexId>(
-            (w << 6) + static_cast<unsigned>(std::countr_zero(cand)));
-        cand &= cand - 1;
-        settled[v] = 2;
-        active_mask_[w] &= ~(1ull << (v & 63u));
-        any_settled = true;
-      }
-    }
-    if (any_settled) prune_active(ctx_);
-  }
-
- private:
-  KernelContext<Policy> ctx_;
-  graph::PackedGraph packed_;
-  std::size_t words_ = 0;
-  std::vector<std::uint64_t> active_mask_;
-  std::vector<std::uint64_t> member_mask_;
-  std::vector<std::uint64_t> member_nb_mask_;  // has a settled-member neighbor
-  std::vector<std::uint64_t> capped_mask_;     // levels[v] == lmax[v], all v
-  std::vector<std::uint64_t> send_mask_[2];    // active beepers this round
-  std::vector<std::uint64_t> audible_[2];      // send | members on their ch
-  std::vector<std::int8_t> lvl8_;              // mirror of levels
-  std::vector<std::int8_t> lmax8_;
-};
-
-// ---------------------------------------------------------------------------
 // FrontierKernel — Ligra-style frontier processing with push/pull direction
 // switching, built on incrementally maintained neighborhood counts. The
 // structural fact it exploits: after the initial chaos, almost everything a
@@ -383,9 +39,9 @@ class BitKernel final : public RoundKernel<Policy> {
 // so their audibility is tracked as a per-vertex count (prominent_nb_),
 // updated only when a vertex crosses the prominence boundary. Only the
 // round's *coin* beepers form the frontier that is pushed (epoch stamps) or
-// pulled (scalar-style scans), whichever is cheaper this round. Settlement
-// is candidate-driven: a vertex is re-examined only when an event this
-// round could have made it settleable (it reached the member level or its
+// pulled (per-vertex neighbor scans), whichever is cheaper this round.
+// Settlement is candidate-driven: a vertex is re-examined only when an event
+// this round could have made it settleable (it reached the member level or its
 // cap, a neighborhood count hit zero, a neighbor joined the MIS), so the
 // settle phase costs O(candidates), not O(active). The per-vertex hot loops
 // are select chains (decide_packed / Policy::update_packed) because chaos-
@@ -401,7 +57,8 @@ class BitKernel final : public RoundKernel<Policy> {
 /// beepers flip Bernoulli(2^-ℓ) on channel 1 only while ℓ < ℓmax. The
 /// coin test inlines CounterCoin's edges — k ≥ 64 never succeeds, and the
 /// masked shift keeps the expression defined (and unread) at prominent
-/// levels. Proven draw-for-draw identical to the oracle in test_kernels.
+/// levels. Proven draw-for-draw identical to beep::Simulation in
+/// test_kernels.
 template <typename Policy>
 beep::ChannelMask decide_packed(std::int32_t l, std::int32_t lmax,
                                 std::uint64_t draw) noexcept {
@@ -515,7 +172,7 @@ class FrontierKernel final : public RoundKernel<Policy> {
     // Phase 2: feedback + update. The member channel resolves in O(1) from
     // prominent_nb_ (prominent actives and settled members both beep it
     // with certainty; settled dominated vertices are silent). The coin
-    // channel resolves from epoch stamps when pushing, or a scalar-style
+    // channel resolves from epoch stamps when pushing, or a per-vertex
     // scan of active neighbors when pulling. Level writes that cross the
     // prominence or cap boundary are *deferred* to keep every heard mask a
     // function of pre-round state.
@@ -580,8 +237,8 @@ class FrontierKernel final : public RoundKernel<Policy> {
           }
         }
         // A half-duplex beeper hears nothing. Masking after the resolution
-        // above leaves exactly the mask the oracle records (zero), it just
-        // spends an unneeded scan on the round's few beepers.
+        // above leaves exactly the mask the reference simulator records
+        // (zero); it just spends an unneeded scan on the round's few beepers.
         heard = (half && send[v] != 0) ? beep::ChannelMask{0} : heard;
         if (observing) {
           census.active_heard[0] += heard & 1u;
@@ -631,7 +288,7 @@ class FrontierKernel final : public RoundKernel<Policy> {
       if constexpr (Policy::kChannels > 1) {
         // Push stamped *every* neighbor of every coin beeper, settled ones
         // included, so the epoch answers the dominated sweep in O(1) too;
-        // pull falls back to the scalar neighbor scan.
+        // pull falls back to the per-vertex neighbor scan.
         for (graph::VertexId v = 0; v < n; ++v) {
           if (settled[v] != 2) continue;
           if (push) {
@@ -653,8 +310,8 @@ class FrontierKernel final : public RoundKernel<Policy> {
     // every such event queued it above; anything eligible earlier settled
     // in the round it became eligible. After a rebuild (out-of-band state
     // write) the candidate argument doesn't hold, so one full scan re-seeds
-    // it. Members first, matching the scalar pass order: the dominated test
-    // must see every member settled this round. Settling changes no level,
+    // it. Members first: the dominated test must see every member settled
+    // this round. Settling changes no level,
     // so the counts stay valid and order inside a pass is moot. Stale or
     // duplicate candidates are harmless — each entry rechecks the exact
     // settlement predicate against current state.
@@ -752,11 +409,11 @@ class FrontierKernel final : public RoundKernel<Policy> {
 //   phase 3b dominated settlement, word-parallel over shard-owned words.
 // Every value written is therefore a pure function of pre-barrier state
 // plus commutative integer sums, so levels, censuses and events are
-// byte-identical for ANY shard/thread count — the same stream the serial
-// kernels produce (tests/test_kernels.cpp). At one shard the stamp phase
-// degenerates to exactly the frontier kernel's push walk and the apply
-// phase to its count walk, so the serial sharded round does the same
-// Σdeg(frontier) + Σdeg(crossers) neighborhood work.
+// byte-identical for ANY shard/thread count — the same stream the frontier
+// kernel and beep::Simulation produce (tests/test_kernels.cpp). At one shard
+// the stamp phase degenerates to exactly the frontier kernel's push walk and
+// the apply phase to its count walk, so the serial sharded round does the
+// same Σdeg(frontier) + Σdeg(crossers) neighborhood work.
 // ---------------------------------------------------------------------------
 template <typename Policy>
 class ShardedKernel final : public RoundKernel<Policy> {
@@ -1332,16 +989,9 @@ KernelKind resolve_kernel(KernelKind kind, std::size_t shard_threads) noexcept {
 template <typename Policy>
 std::unique_ptr<RoundKernel<Policy>> make_round_kernel(
     KernelKind kind, const KernelContext<Policy>& ctx) {
-  switch (resolve_kernel(kind)) {
-    case KernelKind::Bit:
-      return std::make_unique<BitKernel<Policy>>(ctx);
-    case KernelKind::Frontier:
-      return std::make_unique<FrontierKernel<Policy>>(ctx);
-    case KernelKind::Sharded:
-      return std::make_unique<ShardedKernel<Policy>>(ctx);
-    default:
-      return std::make_unique<ScalarKernel<Policy>>(ctx);
-  }
+  if (resolve_kernel(kind) == KernelKind::Sharded)
+    return std::make_unique<ShardedKernel<Policy>>(ctx);
+  return std::make_unique<FrontierKernel<Policy>>(ctx);
 }
 
 template std::unique_ptr<RoundKernel<Alg1Policy>> make_round_kernel(

@@ -12,7 +12,8 @@
 
 namespace beepmis::core {
 
-/// The coin source the kernels hand to Policy::decide_coin: coin(k) is a
+/// The coin source the engine's dense sweep hands to Policy::decide_coin
+/// (the kernels inline the same test in decide_packed): coin(k) is a
 /// Bernoulli(2^-k) trial on the first counter draw of the (seed, node, round)
 /// coordinate, with bernoulli_pow2's draw-free k == 0 / k >= 64 edges. Both
 /// beeping policies draw at most one coin per vertex per round, so the first
@@ -48,9 +49,9 @@ struct SparseCensus {
 };
 
 /// Non-owning view of the FastEngine state a kernel operates on. The engine
-/// owns every field; kernels read and write through these pointers so all
-/// three implementations stay trivially interchangeable mid-run (the engine
-/// calls rebuild() after any out-of-band state write).
+/// owns every field; kernels read and write through these pointers and keep
+/// only derived caches of their own (the engine calls rebuild() after any
+/// out-of-band state write).
 template <typename Policy>
 struct KernelContext {
   const graph::Graph* graph = nullptr;
@@ -64,21 +65,23 @@ struct KernelContext {
   std::uint64_t seed = 0;  ///< master seed keying the counter draws
   bool half = false;       ///< Duplex::Half: a beeper hears nothing
   /// Worker threads for the sharded kernel's private TaskPool (0 = one per
-  /// hardware thread, 1 = inline serial). Ignored by the serial kernels.
+  /// hardware thread, 1 = inline serial). Ignored by the frontier kernel.
   std::size_t shard_threads = 1;
   /// Collect per-phase ShardTelemetry every round, tracing session or not
   /// (the sharded kernel always collects while the tracer is live). Ignored
-  /// by the serial kernels.
+  /// by the frontier kernel.
   bool telemetry = false;
 };
 
 /// One fault-free, noise-free round of FastEngine<Policy>: beep decisions
 /// over the active set (counter draws keyed by (seed, vertex, round)),
-/// feedback, level updates, and settlement/pruning. The three
-/// implementations — Scalar (the oracle), Bit, Frontier — are proven
-/// stream-identical: same levels, same censuses, round for round, across
-/// corruption and half-duplex (tests/test_kernels.cpp). Receiver noise never
-/// reaches a kernel; the engine runs its dense full sweep instead.
+/// feedback, level updates, and settlement/pruning. The two implementations
+/// — Frontier (serial) and Sharded (intra-round parallel) — are proven
+/// stream-identical to the reference beep::Simulation under RngMode::Counter,
+/// which shares no code with them: same levels, same censuses, round for
+/// round, across corruption and half-duplex (tests/test_kernels.cpp).
+/// Receiver noise never reaches a kernel; the engine runs its dense full
+/// sweep instead.
 template <typename Policy>
 class RoundKernel {
  public:
@@ -93,14 +96,14 @@ class RoundKernel {
   virtual void step_sparse(std::uint64_t round, bool observing,
                            SparseCensus& census) = 0;
 
-  /// Re-syncs kernel-private caches (packed masks, member-neighbor flags,
-  /// level mirrors) with the engine's levels/settled/active after an
+  /// Re-syncs kernel-private caches (neighborhood counts, capped and
+  /// member-neighbor masks) with the engine's levels/settled/active after an
   /// out-of-band write — set_level refresh, corruption resettle. Called
   /// lazily by the engine before the next step_sparse.
   virtual void rebuild() = 0;
 
   /// Snapshots cumulative phase telemetry (sharded kernel only): false on
-  /// the serial kernels and before any instrumented round has run.
+  /// the frontier kernel and before any instrumented round has run.
   virtual bool shard_telemetry(ShardTelemetry* out) const {
     (void)out;
     return false;

@@ -43,7 +43,7 @@ Graph GraphBuilder::build() && {
   }
   // Each vertex's edges were appended in globally sorted order, so
   // neighborhoods are already sorted — required by has_edge's binary search
-  // and by PackedGraph's single-pass word grouping.
+  // and by is_triangle_free's merge.
   for (std::size_t v = 0; v < n_; ++v) {
     const auto nb = g.neighbors(static_cast<VertexId>(v));
     BEEPMIS_CHECK(std::is_sorted(nb.begin(), nb.end()),

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "src/graph/packed.hpp"
 #include "src/support/check.hpp"
 
 namespace beepmis::graph {
@@ -89,16 +88,26 @@ bool is_regular(const Graph& g, std::size_t d) {
 }
 
 bool is_triangle_free(const Graph& g) {
-  // One PackedGraph build (O(n + m)) turns the inner closing-edge probe —
-  // executed O(Σ deg²) times — into a bitset-row bit test or a word-indexed
-  // block search instead of Graph::has_edge's per-id binary search.
-  const PackedGraph packed(g);
-  for (VertexId v = 0; v < g.vertex_count(); ++v)
-    for (VertexId u : g.neighbors(v)) {
-      if (u < v) continue;
-      for (VertexId w : g.neighbors(u))
-        if (w > u && packed.has_edge(v, w)) return false;
+  // Every triangle v < u < w is found once, at its edge (v, u), as a common
+  // neighbor w > u: a linear merge of the two sorted neighborhoods' tails,
+  // so each edge costs O(deg(v) + deg(u)) and the whole probe O(m·Δ).
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    const auto nv = g.neighbors(v);
+    for (auto it = std::upper_bound(nv.begin(), nv.end(), v); it != nv.end();
+         ++it) {
+      const VertexId u = *it;
+      const auto nu = g.neighbors(u);
+      auto a = it + 1;
+      auto b = std::upper_bound(nu.begin(), nu.end(), u);
+      while (a != nv.end() && b != nu.end()) {
+        if (*a == *b) return false;
+        if (*a < *b)
+          ++a;
+        else
+          ++b;
+      }
     }
+  }
   return true;
 }
 

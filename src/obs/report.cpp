@@ -509,34 +509,6 @@ std::vector<ReportBuilder::Speedup> ReportBuilder::speedups() const {
   return out;
 }
 
-std::vector<ReportBuilder::KernelSpeedup> ReportBuilder::kernel_speedups()
-    const {
-  // Pair "BM_FastEngineKernel/<kernel>/<n>" with the scalar oracle at the
-  // same n. The scalar row itself is omitted (speedup 1.00x by definition).
-  std::vector<KernelSpeedup> out;
-  constexpr std::string_view kPrefix = "BM_FastEngineKernel/";
-  for (const auto& [name, cpu_ns] : current_cpu_ns_) {
-    if (name.rfind(kPrefix, 0) != 0) continue;
-    const std::string tail = name.substr(kPrefix.size());
-    const std::size_t slash = tail.find('/');
-    if (slash == std::string::npos) continue;
-    const std::string kernel = tail.substr(0, slash);
-    if (kernel == "scalar") continue;
-    const std::string size = tail.substr(slash + 1);
-    const auto scalar =
-        current_cpu_ns_.find(std::string(kPrefix) + "scalar/" + size);
-    if (scalar == current_cpu_ns_.end() || cpu_ns <= 0.0) continue;
-    out.push_back({kernel,
-                   static_cast<std::uint64_t>(std::strtoull(
-                       size.c_str(), nullptr, 10)),
-                   cpu_ns, scalar->second, scalar->second / cpu_ns});
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.n != b.n ? a.n < b.n : a.kernel < b.kernel;
-  });
-  return out;
-}
-
 std::vector<ReportBuilder::Overhead> ReportBuilder::overheads() const {
   // "BM_FastEngineRun_<tag>/<n>" relative to the NoSink run of the same n.
   std::vector<Overhead> out;
@@ -785,19 +757,6 @@ void ReportBuilder::write_markdown(std::ostream& os,
     os << '\n';
   }
 
-  const auto kernels = kernel_speedups();
-  if (!kernels.empty()) {
-    os << "## Round kernels vs scalar oracle\n\n";
-    os << "| kernel | n | cpu_ns | scalar cpu_ns | speedup |\n";
-    os << "|---|---:|---:|---:|---:|\n";
-    for (const KernelSpeedup& k : kernels) {
-      os << "| " << k.kernel << " | " << k.n << " | "
-         << fmt("%.0f", k.cpu_ns) << " | " << fmt("%.0f", k.scalar_cpu_ns)
-         << " | " << fmt("%.2fx", k.speedup) << " |\n";
-    }
-    os << '\n';
-  }
-
   const auto over = overheads();
   if (!over.empty()) {
     os << "## Instrumentation overhead (vs NoSink)\n\n";
@@ -1033,18 +992,6 @@ void ReportBuilder::write_json(std::ostream& os, double tolerance) const {
     w.field("fast_cpu_ns", s.fast_cpu_ns);
     w.field("reference_cpu_ns", s.reference_cpu_ns);
     w.field("speedup", s.speedup);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("kernel_speedups").begin_array();
-  for (const KernelSpeedup& k : kernel_speedups()) {
-    w.begin_object();
-    w.field("kernel", k.kernel);
-    w.field("n", k.n);
-    w.field("cpu_ns", k.cpu_ns);
-    w.field("scalar_cpu_ns", k.scalar_cpu_ns);
-    w.field("speedup", k.speedup);
     w.end_object();
   }
   w.end_array();

@@ -70,16 +70,6 @@ class ReportBuilder {
     double speedup = 0.0;       ///< reference / fast
   };
 
-  /// Round-kernel pairing derived from "BM_FastEngineKernel/<kernel>/<n>"
-  /// gauges: each kernel measured against the scalar oracle at the same n.
-  struct KernelSpeedup {
-    std::string kernel;         ///< "bit", "frontier", ...
-    std::uint64_t n = 0;
-    double cpu_ns = 0.0;
-    double scalar_cpu_ns = 0.0;
-    double speedup = 0.0;       ///< scalar / kernel
-  };
-
   /// Instrumented-vs-bare engine run ("BM_FastEngineRun_<tag>/<n>" vs
   /// "BM_FastEngineRun_NoSink/<n>").
   struct Overhead {
@@ -231,7 +221,6 @@ class ReportBuilder {
   std::vector<ImbalanceRow> imbalance_rows() const;
   std::vector<RecoveryRow> recovery_rows() const;
   std::vector<Speedup> speedups() const;
-  std::vector<KernelSpeedup> kernel_speedups() const;
   std::vector<Overhead> overheads() const;
   std::vector<SpanRow> span_rows() const;
   std::vector<ProfileRow> profile_rows() const;

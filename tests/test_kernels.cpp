@@ -3,84 +3,145 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/core/engine.hpp"
 #include "src/core/fast_engine.hpp"
-#include "src/core/init.hpp"
 #include "src/graph/generators.hpp"
 
 namespace beepmis::core {
 namespace {
 
-// The kernel contract: Scalar, Bit, and Frontier produce the same level
-// vector, the same settlement, and the same MIS, round for round, from any
-// starting configuration, under full and half duplex, across mid-run
-// corruption. These tests run WITHOUT observers: that keeps the engines on
-// the non-observing step, which on AVX-512 hosts routes the frontier
-// kernel through its dense SIMD sweep (kernel_simd.hpp) — so the sweep is
-// proven bit-identical here, not just the indexed loops. On hosts without
-// AVX-512 the same tests still check the three indexed implementations
-// against each other.
+// The kernel contract: every round-kernel executor — frontier, and sharded
+// at any worker count — reproduces the reference executor (beep::Simulation
+// running SelfStabMis / SelfStabMisTwoChannel under RngMode::Counter, which
+// shares no code with the kernels) round for round: the same level vector,
+// the same stabilization verdict and the same MIS, from any starting
+// configuration, under full and half duplex, across mid-run corruption.
+//
+// The Lockstep tests run WITHOUT observers: that keeps the fast engines on
+// the non-observing step, which on AVX-512 hosts routes the kernels through
+// the dense SIMD sweep (kernel_simd.hpp) — so the sweep is proven against
+// the oracle here, not just the indexed loops. The observed variants below
+// additionally pin the per-round RoundEvent stream.
 
-template <typename Policy>
-struct Trio {
-  FastEngine<Policy> scalar;
-  FastEngine<Policy> bit;
-  FastEngine<Policy> frontier;
+/// Fast executors under test: the serial frontier kernel, and the sharded
+/// kernel inline (1), at an even split (2) and at the CI host's core count
+/// (4).
+struct Executor {
+  KernelKind kernel;
+  std::size_t shard_threads;
+};
+constexpr Executor kExecutors[] = {{KernelKind::Frontier, 1},
+                                   {KernelKind::Sharded, 1},
+                                   {KernelKind::Sharded, 2},
+                                   {KernelKind::Sharded, 4}};
 
-  Trio(const graph::Graph& g, const LmaxVector& lmax, std::uint64_t seed,
-       beep::Duplex duplex = beep::Duplex::Full)
-      : scalar(g, lmax, seed, {}, duplex, KernelKind::Scalar),
-        bit(g, lmax, seed, {}, duplex, KernelKind::Bit),
-        frontier(g, lmax, seed, {}, duplex, KernelKind::Frontier) {}
+std::string label(const Executor& x) {
+  return kernel_kind_name(x.kernel) + "/" + std::to_string(x.shard_threads);
+}
 
-  // Identical adversarial starting levels on all three engines: the scalar
-  // engine corrupts from a seeded stream, the others copy its levels.
-  void corrupt_init(std::uint64_t seed) {
-    support::Rng c(seed);
-    const std::size_t n = scalar.graph().vertex_count();
-    for (graph::VertexId v = 0; v < n; ++v) scalar.corrupt(v, c);
-    for (graph::VertexId v = 0; v < n; ++v) {
-      bit.set_level(v, scalar.level(v));
-      frontier.set_level(v, scalar.level(v));
-    }
-  }
-
-  void run_lockstep(int rounds, const std::vector<int>& corrupt_at = {},
-                    std::size_t corrupt_count = 0) {
-    support::Rng f1(0xc0), f2(0xc0), f3(0xc0);
-    const std::size_t n = scalar.graph().vertex_count();
-    for (int r = 0; r < rounds; ++r) {
-      for (int cr : corrupt_at) {
-        if (cr != r) continue;
-        const auto a = corrupt_random(scalar, corrupt_count, f1);
-        const auto b = corrupt_random(bit, corrupt_count, f2);
-        const auto c = corrupt_random(frontier, corrupt_count, f3);
-        ASSERT_EQ(a, b) << "round " << r;
-        ASSERT_EQ(a, c) << "round " << r;
-      }
-      scalar.step();
-      bit.step();
-      frontier.step();
-      for (graph::VertexId v = 0; v < n; ++v) {
-        ASSERT_EQ(bit.level(v), scalar.level(v))
-            << "bit round " << r << " vertex " << v;
-        ASSERT_EQ(frontier.level(v), scalar.level(v))
-            << "frontier round " << r << " vertex " << v;
-      }
-      ASSERT_EQ(bit.active_count(), scalar.active_count()) << "round " << r;
-      ASSERT_EQ(frontier.active_count(), scalar.active_count())
-          << "round " << r;
-    }
-    EXPECT_EQ(bit.mis_members(), scalar.mis_members());
-    EXPECT_EQ(frontier.mis_members(), scalar.mis_members());
-    EXPECT_EQ(bit.is_stabilized(), scalar.is_stabilized());
-    EXPECT_EQ(frontier.is_stabilized(), scalar.is_stabilized());
+/// Captures an engine's per-round event stream for exact comparison.
+struct EventLog final : obs::RoundObserver {
+  std::vector<obs::RoundEvent> events;
+  void on_round(const obs::RoundEvent& event) override {
+    events.push_back(event);
   }
 };
 
-TEST(Kernels, ThreeKernelsLockstepAlg1) {
+class Lockstep {
+ public:
+  /// `variant` picks the algorithm and its default ℓmax (GlobalDelta for
+  /// Algorithm 1, TwoChannel for Algorithm 2); `observe` attaches an event
+  /// log to every engine and compares the streams too.
+  Lockstep(const graph::Graph& g, Variant variant, std::uint64_t seed,
+           beep::Duplex duplex = beep::Duplex::Full,
+           std::span<const Executor> executors = kExecutors,
+           bool observe = false)
+      : executors_(executors.begin(), executors.end()) {
+    EngineConfig config;
+    config.variant = variant;
+    config.seed = seed;
+    config.duplex = duplex;
+    config.kind = EngineKind::Reference;
+    oracle_ = make_engine(g, config);
+    config.kind = EngineKind::Fast;
+    for (const Executor& x : executors_) {
+      config.kernel = x.kernel;
+      config.shard_threads = x.shard_threads;
+      fast_.push_back(make_engine(g, config));
+      EXPECT_EQ(fast_.back()->kernel_name(), kernel_kind_name(x.kernel));
+    }
+    if (observe) {
+      logs_.resize(fast_.size() + 1);
+      oracle_->set_observer(&logs_[0]);
+      for (std::size_t i = 0; i < fast_.size(); ++i)
+        fast_[i]->set_observer(&logs_[i + 1]);
+    }
+  }
+
+  // Identical adversarial starting levels everywhere: the oracle corrupts
+  // from a seeded stream, the executors copy its levels.
+  void corrupt_init(std::uint64_t seed) {
+    support::Rng c(seed);
+    const std::size_t n = oracle_->graph().vertex_count();
+    for (graph::VertexId v = 0; v < n; ++v) oracle_->corrupt(v, c);
+    for (auto& e : fast_)
+      for (graph::VertexId v = 0; v < n; ++v)
+        e->set_level(v, oracle_->level(v));
+  }
+
+  void run(int rounds, const std::vector<int>& corrupt_at = {},
+           std::size_t corrupt_count = 0) {
+    // Each engine draws its faults from its own identically seeded stream.
+    std::vector<support::Rng> frng(fast_.size() + 1, support::Rng(0xc0));
+    const std::size_t n = oracle_->graph().vertex_count();
+    for (int r = 0; r < rounds; ++r) {
+      for (int cr : corrupt_at) {
+        if (cr != r) continue;
+        const auto want = corrupt_random(*oracle_, corrupt_count, frng[0]);
+        for (std::size_t i = 0; i < fast_.size(); ++i)
+          ASSERT_EQ(corrupt_random(*fast_[i], corrupt_count, frng[i + 1]),
+                    want)
+              << label(executors_[i]) << " round " << r;
+      }
+      oracle_->step();
+      for (auto& e : fast_) e->step();
+      const bool stabilized = oracle_->is_stabilized();
+      for (std::size_t i = 0; i < fast_.size(); ++i) {
+        const Engine& e = *fast_[i];
+        for (graph::VertexId v = 0; v < n; ++v)
+          ASSERT_EQ(e.level(v), oracle_->level(v))
+              << label(executors_[i]) << " round " << r << " vertex " << v;
+        ASSERT_EQ(e.is_stabilized(), stabilized)
+            << label(executors_[i]) << " round " << r;
+        if (!logs_.empty()) {
+          ASSERT_EQ(logs_[i + 1].events.back(), logs_[0].events.back())
+              << label(executors_[i]) << " round " << r;
+        }
+      }
+    }
+    for (std::size_t i = 0; i < fast_.size(); ++i) {
+      EXPECT_EQ(fast_[i]->mis_members(), oracle_->mis_members())
+          << label(executors_[i]);
+      if (!logs_.empty()) {
+        EXPECT_EQ(logs_[i + 1].events, logs_[0].events)
+            << label(executors_[i]);
+      }
+    }
+  }
+
+ private:
+  std::vector<Executor> executors_;
+  std::unique_ptr<Engine> oracle_;
+  std::vector<std::unique_ptr<Engine>> fast_;
+  std::vector<EventLog> logs_;  // [0] oracle, [i + 1] fast_[i]
+};
+
+TEST(Kernels, LockstepWithReferenceAlg1) {
   support::Rng grng(21);
   const auto graphs = {
       graph::make_path(48),
@@ -89,13 +150,13 @@ TEST(Kernels, ThreeKernelsLockstepAlg1) {
       graph::make_barabasi_albert(128, 3, grng),
   };
   for (const auto& g : graphs) {
-    Trio<Alg1Policy> trio(g, lmax_global_delta(g), 1234);
-    trio.corrupt_init(7);
-    trio.run_lockstep(300);
+    Lockstep ls(g, Variant::GlobalDelta, 1234);
+    ls.corrupt_init(7);
+    ls.run(300);
   }
 }
 
-TEST(Kernels, ThreeKernelsLockstepAlg2) {
+TEST(Kernels, LockstepWithReferenceAlg2) {
   support::Rng grng(22);
   const auto graphs = {
       graph::make_star(48),
@@ -103,9 +164,9 @@ TEST(Kernels, ThreeKernelsLockstepAlg2) {
       graph::make_barabasi_albert(128, 3, grng),
   };
   for (const auto& g : graphs) {
-    Trio<Alg2Policy> trio(g, lmax_one_hop(g), 4321);
-    trio.corrupt_init(9);
-    trio.run_lockstep(300);
+    Lockstep ls(g, Variant::TwoChannel, 4321);
+    ls.corrupt_init(9);
+    ls.run(300);
   }
 }
 
@@ -113,14 +174,14 @@ TEST(Kernels, LockstepSurvivesMidRunCorruption) {
   support::Rng grng(23);
   const auto g = graph::make_erdos_renyi_avg_degree(160, 8.0, grng);
   {
-    Trio<Alg1Policy> trio(g, lmax_global_delta(g), 55);
-    trio.corrupt_init(3);
-    trio.run_lockstep(400, /*corrupt_at=*/{60, 140, 260}, /*count=*/24);
+    Lockstep ls(g, Variant::GlobalDelta, 55);
+    ls.corrupt_init(3);
+    ls.run(400, /*corrupt_at=*/{60, 140, 260}, /*count=*/24);
   }
   {
-    Trio<Alg2Policy> trio(g, lmax_one_hop(g), 56);
-    trio.corrupt_init(4);
-    trio.run_lockstep(400, /*corrupt_at=*/{60, 140, 260}, /*count=*/24);
+    Lockstep ls(g, Variant::TwoChannel, 56);
+    ls.corrupt_init(4);
+    ls.run(400, /*corrupt_at=*/{60, 140, 260}, /*count=*/24);
   }
 }
 
@@ -128,34 +189,34 @@ TEST(Kernels, HalfDuplexLockstep) {
   support::Rng grng(24);
   const auto g = graph::make_erdos_renyi_avg_degree(160, 8.0, grng);
   {
-    Trio<Alg1Policy> trio(g, lmax_global_delta(g), 77, beep::Duplex::Half);
-    trio.corrupt_init(5);
-    trio.run_lockstep(300);
+    Lockstep ls(g, Variant::GlobalDelta, 77, beep::Duplex::Half);
+    ls.corrupt_init(5);
+    ls.run(300);
   }
   {
-    Trio<Alg2Policy> trio(g, lmax_one_hop(g), 78, beep::Duplex::Half);
-    trio.corrupt_init(6);
-    trio.run_lockstep(300);
+    Lockstep ls(g, Variant::TwoChannel, 78, beep::Duplex::Half);
+    ls.corrupt_init(6);
+    ls.run(300);
   }
 }
 
-TEST(Kernels, SweepSizedGraphMatchesScalar) {
+TEST(Kernels, SweepSizedGraphMatchesReference) {
   // Large enough that the frontier kernel's dense-sweep gate
   // (n >= 64, |active| * 8 >= n) holds for the whole chaos phase on
   // AVX-512 hosts, and the endgame drops below it — both paths and the
-  // crossover are exercised in one run.
+  // crossover are exercised in one run. Also big enough for several
+  // 64-word shards per worker.
   support::Rng grng(25);
   const auto g = graph::make_erdos_renyi_avg_degree(1024, 8.0, grng);
-  Trio<Alg1Policy> trio(g, lmax_global_delta(g), 99);
-  trio.corrupt_init(11);
-  trio.run_lockstep(200);
+  Lockstep ls(g, Variant::GlobalDelta, 99);
+  ls.corrupt_init(11);
+  ls.run(200);
 }
 
 TEST(Kernels, AutoResolvesToFrontier) {
   EXPECT_EQ(resolve_kernel(KernelKind::Auto), KernelKind::Frontier);
-  EXPECT_EQ(resolve_kernel(KernelKind::Scalar), KernelKind::Scalar);
-  EXPECT_EQ(resolve_kernel(KernelKind::Bit), KernelKind::Bit);
   EXPECT_EQ(resolve_kernel(KernelKind::Frontier), KernelKind::Frontier);
+  EXPECT_EQ(resolve_kernel(KernelKind::Sharded), KernelKind::Sharded);
 }
 
 TEST(Kernels, AutoWithShardThreadsResolvesToSharded) {
@@ -168,14 +229,26 @@ TEST(Kernels, AutoWithShardThreadsResolvesToSharded) {
   EXPECT_EQ(resolve_kernel(KernelKind::Sharded, 1), KernelKind::Sharded);
 }
 
+TEST(Kernels, KernelNamesRoundTrip) {
+  for (KernelKind k :
+       {KernelKind::Auto, KernelKind::Frontier, KernelKind::Sharded}) {
+    KernelKind parsed = KernelKind::Auto;
+    ASSERT_TRUE(parse_kernel_kind(kernel_kind_name(k), &parsed));
+    EXPECT_EQ(parsed, k);
+  }
+  KernelKind untouched = KernelKind::Sharded;
+  for (const char* gone : {"scalar", "bit", ""})
+    EXPECT_FALSE(parse_kernel_kind(gone, &untouched)) << gone;
+  EXPECT_EQ(untouched, KernelKind::Sharded);
+}
+
 TEST(Kernels, EngineExposesResolvedKernelName) {
   const auto g = graph::make_path(8);
   const auto lmax = lmax_global_delta(g);
-  const std::array<std::pair<KernelKind, const char*>, 4> cases = {{
+  const std::array<std::pair<KernelKind, const char*>, 3> cases = {{
       {KernelKind::Auto, "frontier"},
-      {KernelKind::Scalar, "scalar"},
-      {KernelKind::Bit, "bit"},
       {KernelKind::Frontier, "frontier"},
+      {KernelKind::Sharded, "sharded"},
   }};
   for (const auto& [kind, name] : cases) {
     FastEngine<Alg1Policy> e(g, lmax, 1, {}, beep::Duplex::Full, kind);
@@ -187,174 +260,84 @@ TEST(Kernels, EngineExposesResolvedKernelName) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-vs-serial lockstep: the sharded kernel must reproduce the serial
-// kernels' trajectories bit for bit at EVERY shard count — levels, active
-// counts, and the full per-round RoundEvent stream. The worker count only
-// changes who computes each word, never what is computed: coins are pure
-// functions of (seed, node, round), every phase writes only shard-owned
-// state, and the coordinator folds in ascending shard order.
+// Observed lockstep at every shard count: with an observer attached the
+// kernels take their census path, and the full per-round RoundEvent stream
+// must match the reference's too. The worker count only changes who
+// computes each word, never what is computed: coins are pure functions of
+// (seed, node, round), every phase writes only shard-owned state, and the
+// coordinator folds in ascending shard order.
 
-/// Captures the engine's per-round event stream for exact comparison.
-struct EventLog final : obs::RoundObserver {
-  std::vector<obs::RoundEvent> events;
-  void on_round(const obs::RoundEvent& event) override {
-    events.push_back(event);
-  }
-};
+// Worker counts exercised below: 1 (inline serial pool), 3 (odd shard
+// split), 8 (more workers than this host has cores — oversubscribed), 0 (one
+// per hardware thread, host-dependent). Byte-identical output across all of
+// them IS the determinism contract.
+constexpr Executor kObserved[] = {{KernelKind::Frontier, 1},
+                                  {KernelKind::Sharded, 1},
+                                  {KernelKind::Sharded, 3},
+                                  {KernelKind::Sharded, 8},
+                                  {KernelKind::Sharded, 0}};
 
-template <typename Policy>
-struct ShardedDuo {
-  FastEngine<Policy> serial;
-  FastEngine<Policy> sharded;
-  EventLog serial_log;
-  EventLog sharded_log;
-
-  ShardedDuo(const graph::Graph& g, const LmaxVector& lmax,
-             std::uint64_t seed, KernelKind serial_kind,
-             std::size_t shard_threads,
-             beep::Duplex duplex = beep::Duplex::Full)
-      : serial(g, lmax, seed, {}, duplex, serial_kind),
-        sharded(g, lmax, seed, {}, duplex, KernelKind::Sharded,
-                shard_threads) {
-    serial.set_observer(&serial_log);
-    sharded.set_observer(&sharded_log);
-  }
-
-  void corrupt_init(std::uint64_t seed) {
-    support::Rng c(seed);
-    const std::size_t n = serial.graph().vertex_count();
-    for (graph::VertexId v = 0; v < n; ++v) serial.corrupt(v, c);
-    for (graph::VertexId v = 0; v < n; ++v)
-      sharded.set_level(v, serial.level(v));
-  }
-
-  void run_lockstep(int rounds, const std::vector<int>& corrupt_at = {},
-                    std::size_t corrupt_count = 0) {
-    support::Rng f1(0xc0), f2(0xc0);
-    const std::size_t n = serial.graph().vertex_count();
-    for (int r = 0; r < rounds; ++r) {
-      for (int cr : corrupt_at) {
-        if (cr != r) continue;
-        const auto a = corrupt_random(serial, corrupt_count, f1);
-        const auto b = corrupt_random(sharded, corrupt_count, f2);
-        ASSERT_EQ(a, b) << "round " << r;
-      }
-      serial.step();
-      sharded.step();
-      for (graph::VertexId v = 0; v < n; ++v) {
-        ASSERT_EQ(sharded.level(v), serial.level(v))
-            << "round " << r << " vertex " << v;
-      }
-      ASSERT_EQ(sharded.active_count(), serial.active_count())
-          << "round " << r;
-      ASSERT_EQ(sharded_log.events.back(), serial_log.events.back())
-          << "round " << r;
-    }
-    EXPECT_EQ(sharded_log.events, serial_log.events);
-    EXPECT_EQ(sharded.mis_members(), serial.mis_members());
-    EXPECT_EQ(sharded.is_stabilized(), serial.is_stabilized());
-  }
-};
-
-// Worker counts exercised everywhere below: 1 (inline serial pool), 3 (odd
-// shard split), 8 (more workers than this host has cores — oversubscribed),
-// 0 (one per hardware thread, host-dependent). Byte-identical output across
-// all of them IS the determinism contract.
-constexpr std::size_t kShardCounts[] = {1, 3, 8, 0};
-
-TEST(Kernels, ShardedLockstepGridAlg1) {
+TEST(Kernels, ObservedLockstepGridAlg1) {
   support::Rng grng(31);
   const auto graphs = {
       graph::make_grid(9, 9),
       graph::make_erdos_renyi_avg_degree(192, 8.0, grng),
       graph::make_barabasi_albert(130, 3, grng),
   };
-  const KernelKind serial_kinds[] = {KernelKind::Scalar, KernelKind::Bit,
-                                     KernelKind::Frontier};
   for (const auto& g : graphs) {
-    const auto lmax = lmax_global_delta(g);
-    for (KernelKind serial_kind : serial_kinds) {
-      for (std::size_t st : kShardCounts) {
-        ShardedDuo<Alg1Policy> duo(g, lmax, 1234, serial_kind, st);
-        duo.corrupt_init(7);
-        duo.run_lockstep(250);
-      }
-    }
+    Lockstep ls(g, Variant::GlobalDelta, 1234, beep::Duplex::Full, kObserved,
+                /*observe=*/true);
+    ls.corrupt_init(7);
+    ls.run(250);
   }
 }
 
-TEST(Kernels, ShardedLockstepGridAlg2) {
+TEST(Kernels, ObservedLockstepGridAlg2) {
   support::Rng grng(32);
   const auto graphs = {
       graph::make_star(48),
       graph::make_erdos_renyi_avg_degree(192, 8.0, grng),
       graph::make_barabasi_albert(130, 3, grng),
   };
-  const KernelKind serial_kinds[] = {KernelKind::Scalar, KernelKind::Bit,
-                                     KernelKind::Frontier};
   for (const auto& g : graphs) {
-    const auto lmax = lmax_one_hop(g);
-    for (KernelKind serial_kind : serial_kinds) {
-      for (std::size_t st : kShardCounts) {
-        ShardedDuo<Alg2Policy> duo(g, lmax, 4321, serial_kind, st);
-        duo.corrupt_init(9);
-        duo.run_lockstep(250);
-      }
-    }
+    Lockstep ls(g, Variant::TwoChannel, 4321, beep::Duplex::Full, kObserved,
+                /*observe=*/true);
+    ls.corrupt_init(9);
+    ls.run(250);
   }
 }
 
-TEST(Kernels, ShardedSurvivesMidRunCorruption) {
+TEST(Kernels, ObservedSurvivesMidRunCorruption) {
   support::Rng grng(33);
   const auto g = graph::make_erdos_renyi_avg_degree(160, 8.0, grng);
-  for (std::size_t st : kShardCounts) {
-    {
-      ShardedDuo<Alg1Policy> duo(g, lmax_global_delta(g), 55,
-                                 KernelKind::Frontier, st);
-      duo.corrupt_init(3);
-      duo.run_lockstep(400, /*corrupt_at=*/{60, 140, 260}, /*count=*/24);
-    }
-    {
-      ShardedDuo<Alg2Policy> duo(g, lmax_one_hop(g), 56, KernelKind::Bit,
-                                 st);
-      duo.corrupt_init(4);
-      duo.run_lockstep(400, /*corrupt_at=*/{60, 140, 260}, /*count=*/24);
-    }
+  for (Variant variant : {Variant::GlobalDelta, Variant::TwoChannel}) {
+    Lockstep ls(g, variant, 55, beep::Duplex::Full, kObserved,
+                /*observe=*/true);
+    ls.corrupt_init(3);
+    ls.run(400, /*corrupt_at=*/{60, 140, 260}, /*count=*/24);
   }
 }
 
-TEST(Kernels, ShardedHalfDuplexLockstep) {
+TEST(Kernels, ObservedHalfDuplexLockstep) {
   support::Rng grng(34);
   const auto g = graph::make_erdos_renyi_avg_degree(160, 8.0, grng);
-  for (std::size_t st : kShardCounts) {
-    {
-      ShardedDuo<Alg1Policy> duo(g, lmax_global_delta(g), 77,
-                                 KernelKind::Scalar, st, beep::Duplex::Half);
-      duo.corrupt_init(5);
-      duo.run_lockstep(250);
-    }
-    {
-      ShardedDuo<Alg2Policy> duo(g, lmax_one_hop(g), 78,
-                                 KernelKind::Frontier, st,
-                                 beep::Duplex::Half);
-      duo.corrupt_init(6);
-      duo.run_lockstep(250);
-    }
+  for (Variant variant : {Variant::GlobalDelta, Variant::TwoChannel}) {
+    Lockstep ls(g, variant, 77, beep::Duplex::Half, kObserved,
+                /*observe=*/true);
+    ls.corrupt_init(5);
+    ls.run(250);
   }
 }
 
-TEST(Kernels, ShardedSweepSizedGraphMatchesFrontier) {
-  // Big enough for several 64-word shards per worker and a long all-active
-  // chaos phase; also checks the shard-count clamp (more workers than
-  // words is fine).
+TEST(Kernels, ObservedSweepSizedGraph) {
+  // Several 64-word shards per worker and a long all-active chaos phase;
+  // also checks the shard-count clamp (more workers than words is fine).
   support::Rng grng(35);
   const auto g = graph::make_erdos_renyi_avg_degree(1024, 8.0, grng);
-  for (std::size_t st : kShardCounts) {
-    ShardedDuo<Alg1Policy> duo(g, lmax_global_delta(g), 99,
-                               KernelKind::Frontier, st);
-    duo.corrupt_init(11);
-    duo.run_lockstep(200);
-  }
+  Lockstep ls(g, Variant::GlobalDelta, 99, beep::Duplex::Full, kObserved,
+              /*observe=*/true);
+  ls.corrupt_init(11);
+  ls.run(200);
 }
 
 }  // namespace

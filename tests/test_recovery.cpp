@@ -353,7 +353,7 @@ TEST(RecoveryIntegration, EmptyCorruptionIsMasked) {
 // Kernel parity: the recovery artifact and the flight dump are functions of
 // the stream-identical event sequence and the engine-independent settlement
 // view, so the same seeded corrupted run must produce byte-identical bytes
-// on all three kernels.
+// on the reference executor and on both kernels.
 
 struct KernelRunArtifacts {
   std::string recovery;
@@ -361,8 +361,8 @@ struct KernelRunArtifacts {
 };
 
 KernelRunArtifacts run_corrupted(const graph::Graph& g,
-                                 core::KernelKind kernel) {
-  auto engine = core::make_engine(g, engine_config(kernel, 77));
+                                 const core::EngineConfig& config) {
+  auto engine = core::make_engine(g, config);
   const beep::Round budget = exp::default_round_budget(g.vertex_count());
 
   obs::AnomalyConfig acfg;
@@ -432,18 +432,26 @@ KernelRunArtifacts run_corrupted(const graph::Graph& g,
 TEST(RecoveryIntegration, KernelsProduceIdenticalArtifacts) {
   support::Rng grng(94);
   const auto g = graph::make_erdos_renyi_avg_degree(192, 8.0, grng);
-  const auto scalar = run_corrupted(g, core::KernelKind::Scalar);
-  const auto bit = run_corrupted(g, core::KernelKind::Bit);
-  const auto frontier = run_corrupted(g, core::KernelKind::Frontier);
-  EXPECT_EQ(scalar.recovery, bit.recovery);
-  EXPECT_EQ(scalar.recovery, frontier.recovery);
-  EXPECT_EQ(scalar.dump, bit.dump);
-  EXPECT_EQ(scalar.dump, frontier.dump);
+  // Both kernels against the reference beep::Simulation, which shares no
+  // code with them.
+  core::EngineConfig ref_config = engine_config(core::KernelKind::Auto, 77);
+  ref_config.kind = core::EngineKind::Reference;
+  core::EngineConfig sharded_config =
+      engine_config(core::KernelKind::Sharded, 77);
+  sharded_config.shard_threads = 2;
+  const auto reference = run_corrupted(g, ref_config);
+  const auto frontier =
+      run_corrupted(g, engine_config(core::KernelKind::Frontier, 77));
+  const auto sharded = run_corrupted(g, sharded_config);
+  EXPECT_EQ(reference.recovery, frontier.recovery);
+  EXPECT_EQ(reference.recovery, sharded.recovery);
+  EXPECT_EQ(reference.dump, frontier.dump);
+  EXPECT_EQ(reference.dump, sharded.dump);
 
-  // And the artifact the kernels agree on is a valid document.
+  // And the artifact the executors agree on is a valid document.
   obs::JsonValue doc;
   std::string error;
-  ASSERT_TRUE(obs::json_parse(scalar.recovery, &doc, &error)) << error;
+  ASSERT_TRUE(obs::json_parse(reference.recovery, &doc, &error)) << error;
   ASSERT_TRUE(obs::recovery_validate(doc, &error)) << error;
   EXPECT_EQ(doc.get("epochs").array.size(), 2u);
 }

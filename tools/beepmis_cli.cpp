@@ -27,7 +27,6 @@
 #include "src/exp/runner.hpp"
 #include "src/exp/sweep.hpp"
 #include "src/graph/io.hpp"
-#include "src/graph/packed.hpp"
 #include "src/obs/json.hpp"
 #include "src/mis/verifier.hpp"
 #include "src/obs/flight.hpp"
@@ -436,7 +435,7 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
   }
   if (!core::parse_kernel_kind(args.get("kernel"), &config.kernel)) {
     std::cerr << "unknown kernel: " << args.get("kernel")
-              << " (try auto, scalar, bit, frontier, sharded)\n";
+              << " (try auto, frontier, sharded)\n";
     std::exit(2);
   }
   config.shard_threads =
@@ -811,7 +810,7 @@ int run_sweep(const support::ArgParser& args, exp::Variant variant,
   }
   if (!core::parse_kernel_kind(args.get("kernel"), &cfg.kernel)) {
     std::cerr << "unknown kernel: " << args.get("kernel")
-              << " (try auto, scalar, bit, frontier, sharded)\n";
+              << " (try auto, frontier, sharded)\n";
     return 2;
   }
   cfg.shard_threads =
@@ -1067,17 +1066,13 @@ int main(int argc, char** argv) {
                   "executor for self-stab variants: auto | fast | reference "
                   "(auto picks the fast engine; both are stream-identical)");
   args.add_option("kernel", "auto",
-                  "fast-engine round kernel: auto | scalar | bit | frontier "
-                  "| sharded (all stream-identical; auto picks the measured "
-                  "winner, or sharded when --shard-threads != 1)");
+                  "fast-engine round kernel: auto | frontier | sharded (both "
+                  "stream-identical; auto picks frontier, or sharded when "
+                  "--shard-threads != 1)");
   args.add_option("shard-threads", "1",
                   "worker threads INSIDE each round (sharded kernel): 1 = "
                   "serial, 0 = one per hardware thread; results are "
                   "bit-identical for every value");
-  args.add_flag("relabel",
-                "relabel vertices by descending degree before running "
-                "(packs hub neighborhoods into few mask words; the graph "
-                "name gains a _degord suffix)");
   args.add_option("duplex", "full",
                   "radio model: full (hear while beeping) | half");
   args.add_option("alpha", "3", "ruling-set separation (algorithm=ruling)");
@@ -1194,8 +1189,7 @@ int main(int argc, char** argv) {
 
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   support::Rng graph_rng = support::Rng(seed).derive_stream(0x6ea9);
-  graph::Graph g = load_graph(args, graph_rng);
-  if (args.flag("relabel")) g = graph::relabel_by_degree(g).graph;
+  const graph::Graph g = load_graph(args, graph_rng);
   std::printf("graph %s: n=%zu m=%zu max-degree=%zu\n", g.name().c_str(),
               g.vertex_count(), g.edge_count(), g.max_degree());
 
