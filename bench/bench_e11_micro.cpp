@@ -13,6 +13,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <streambuf>
@@ -40,6 +41,7 @@
 #include "src/obs/recovery.hpp"
 #include "src/obs/sink.hpp"
 #include "src/obs/trace.hpp"
+#include "src/support/stats.hpp"
 #include "src/support/task_pool.hpp"
 
 namespace {
@@ -227,11 +229,10 @@ void BM_FastEngineRun_NoSink(benchmark::State& state) {
 BENCHMARK(BM_FastEngineRun_NoSink)->Arg(10240);
 
 /// Intra-round sharding A/B at n = 10⁶ (streamed Erdős–Rényi, avg degree
-/// 8): the same stabilization run with the sharded kernel at 1/2/4/8
-/// worker threads, plus the serial frontier kernel as the no-sharding
-/// anchor. The claims CI checks (real time, core-count-aware): 1-thread
-/// sharded within ~5% of frontier, and /8 vs /1 approaching the core
-/// count on machines that have the cores. Built once — a 10⁶ graph takes
+/// 8): the same stabilization run with the round kernel at 1/2/4/8 worker
+/// threads; 1 is the serial path. The claim CI checks (median real time
+/// over repetitions, core-count-aware): /4 and /8 beat /1 on machines that
+/// have the cores. Built once — a 10⁶ graph takes
 /// seconds to generate, so every arm shares one static instance.
 constexpr std::size_t kShardBenchN = 1000000;
 
@@ -249,15 +250,15 @@ const std::vector<std::int32_t>& shard_bench_lmax() {
   return lmax;
 }
 
-void run_shard_bench(benchmark::State& state, core::KernelKind kernel,
-                     std::size_t shard_threads, bool phase_telemetry = false) {
+void run_shard_bench(benchmark::State& state, std::size_t shard_threads,
+                     bool phase_telemetry = false) {
   const graph::Graph& g = shard_bench_graph();
   const auto& lmax = shard_bench_lmax();
   std::uint64_t seed = 0;
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     core::FastMisEngine fast(g, lmax, ++seed, {}, beep::Duplex::Full,
-                             kernel, shard_threads, phase_telemetry);
+                             shard_threads, phase_telemetry);
     support::Rng irng(seed);
     for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
       const auto span = static_cast<std::uint64_t>(2 * lmax[v] + 1);
@@ -272,8 +273,7 @@ void run_shard_bench(benchmark::State& state, core::KernelKind kernel,
 }
 
 void BM_EngineRunSharded(benchmark::State& state) {
-  run_shard_bench(state, core::KernelKind::Sharded,
-                  static_cast<std::size_t>(state.range(0)));
+  run_shard_bench(state, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_EngineRunSharded)
     ->Arg(1)
@@ -283,21 +283,13 @@ BENCHMARK(BM_EngineRunSharded)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_EngineRunShardedAnchor(benchmark::State& state) {
-  run_shard_bench(state, core::KernelKind::Frontier, 1);
-}
-BENCHMARK(BM_EngineRunShardedAnchor)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 /// Telemetry-overhead A/B: the same sharded run with per-round
 /// ShardTelemetry collection forced on (what --timeseries-out/--progress-out
 /// and a live tracer enable). CI gates this against the bare
 /// BM_EngineRunSharded arm at the same thread count — the phase clocks and
 /// per-shard tallies must stay within a few percent of free.
 void BM_EngineRunSharded_Telemetry(benchmark::State& state) {
-  run_shard_bench(state, core::KernelKind::Sharded,
-                  static_cast<std::size_t>(state.range(0)),
+  run_shard_bench(state, static_cast<std::size_t>(state.range(0)),
                   /*phase_telemetry=*/true);
 }
 BENCHMARK(BM_EngineRunSharded_Telemetry)
@@ -593,6 +585,8 @@ BENCHMARK(BM_RngBernoulliPow2);
 /// ".iterations", and one ".<counter>" gauge per user counter — which is
 /// items_per_second plus, when the host grants perf_event_open, the
 /// PerfCapture hardware counters (".instructions", ".cache_misses", ...).
+/// Under --benchmark_repetitions=N each gauge holds the median over the N
+/// repetitions (one repetition records its own value).
 class RecordingReporter final : public benchmark::ConsoleReporter {
  public:
   explicit RecordingReporter(obs::MetricsRegistry& metrics)
@@ -602,18 +596,24 @@ class RecordingReporter final : public benchmark::ConsoleReporter {
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration) continue;
       const std::string name = run.benchmark_name();
-      metrics_->gauge(name + ".real_ns").set(run.GetAdjustedRealTime());
-      metrics_->gauge(name + ".cpu_ns").set(run.GetAdjustedCPUTime());
-      metrics_->gauge(name + ".iterations")
-          .set(static_cast<double>(run.iterations));
+      record(name + ".real_ns", run.GetAdjustedRealTime());
+      record(name + ".cpu_ns", run.GetAdjustedCPUTime());
+      record(name + ".iterations", static_cast<double>(run.iterations));
       for (const auto& [cname, counter] : run.counters)
-        metrics_->gauge(name + "." + cname).set(counter);
+        record(name + "." + cname, counter);
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
  private:
+  void record(const std::string& key, double value) {
+    support::SampleSet& seen = samples_[key];
+    seen.add(value);
+    metrics_->gauge(key).set(seen.median());
+  }
+
   obs::MetricsRegistry* metrics_;
+  std::map<std::string, support::SampleSet> samples_;
 };
 
 }  // namespace

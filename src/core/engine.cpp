@@ -41,26 +41,6 @@ bool parse_engine_kind(const std::string& name, EngineKind* out) {
   return false;
 }
 
-std::string kernel_kind_name(KernelKind k) {
-  switch (k) {
-    case KernelKind::Auto: return "auto";
-    case KernelKind::Frontier: return "frontier";
-    case KernelKind::Sharded: return "sharded";
-  }
-  return "?";
-}
-
-bool parse_kernel_kind(const std::string& name, KernelKind* out) {
-  for (KernelKind k :
-       {KernelKind::Auto, KernelKind::Frontier, KernelKind::Sharded}) {
-    if (kernel_kind_name(k) == name) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
-}
-
 namespace {
 
 LmaxVector make_lmax(const graph::Graph& g, Variant variant, std::int32_t c1) {
@@ -181,12 +161,10 @@ std::unique_ptr<Engine> make_engine(const graph::Graph& g,
   if (config.variant == Variant::TwoChannel)
     return std::make_unique<FastEngine<Alg2Policy>>(
         g, make_lmax(g, config.variant, config.c1), config.seed, config.noise,
-        config.duplex, config.kernel, config.shard_threads,
-        config.phase_telemetry);
+        config.duplex, config.shard_threads, config.phase_telemetry);
   return std::make_unique<FastEngine<Alg1Policy>>(
       g, make_lmax(g, config.variant, config.c1), config.seed, config.noise,
-      config.duplex, config.kernel, config.shard_threads,
-      config.phase_telemetry);
+      config.duplex, config.shard_threads, config.phase_telemetry);
 }
 
 std::vector<graph::VertexId> corrupt_random(Engine& engine, std::size_t count,

@@ -43,33 +43,11 @@ std::string engine_kind_name(EngineKind k);
 /// Returns false (leaving `out` untouched) on an unknown name.
 bool parse_engine_kind(const std::string& name, EngineKind* out);
 
-/// Round-kernel selection for the fast engine. Both kernels are proven
-/// stream-identical to the reference beep::Simulation (same levels, same
-/// RoundEvents, round for round — see tests/test_kernels.cpp), so the choice
-/// never changes a result, only the wall-clock; Auto resolves
-/// deterministically (see resolve_kernel). Irrelevant under receiver noise,
-/// where every kernel runs the same dense full sweep.
-enum class KernelKind {
-  Auto,      ///< let the engine choose (deterministic per config)
-  Frontier,  ///< beeper-frontier push/pull visiting only what can change
-  Sharded,   ///< frontier round split into word-aligned shards on a TaskPool
-};
-
-std::string kernel_kind_name(KernelKind k);
-/// Returns false (leaving `out` untouched) on an unknown name.
-bool parse_kernel_kind(const std::string& name, KernelKind* out);
-
-/// Deterministic Auto resolution — a pure function of the requested kind, so
-/// the same config always runs the same kernel (the determinism gates diff
-/// runs byte-for-byte). Auto -> Frontier, the faster kernel on one core.
-/// Defined in round_kernel.cpp.
-KernelKind resolve_kernel(KernelKind kind) noexcept;
-
-/// Config-aware overload: with intra-round parallelism requested
-/// (shard_threads != 1), Auto resolves to the sharded kernel — the only one
-/// that can use the extra workers; otherwise identical to the 1-arg form.
-/// Still a pure function of its inputs, so determinism gates hold.
-KernelKind resolve_kernel(KernelKind kind, std::size_t shard_threads) noexcept;
+/// The fast engine has one round kernel (sharded; one shard is its serial
+/// path), and both values build it. The enum and EngineConfig::kernel stay
+/// only because the end-to-end benchmark driver (perfbench/driver.cpp)
+/// still names them.
+enum class KernelKind { Auto, Sharded };
 
 /// The sharded kernel's barrier-phased round, in execution order. The names
 /// double as tracer span names (static storage, as the tracer requires) and
@@ -117,19 +95,18 @@ struct ShardTelemetry {
 struct EngineConfig {
   Variant variant = Variant::GlobalDelta;
   EngineKind kind = EngineKind::Auto;
-  KernelKind kernel = KernelKind::Auto;
+  KernelKind kernel = KernelKind::Auto;  ///< ignored: one kernel
   std::uint64_t seed = 1;
   std::int32_t c1 = 0;  ///< lmax constant override (0 = paper default)
   beep::ChannelNoise noise = {};
   beep::Duplex duplex = beep::Duplex::Full;
-  /// Worker threads for intra-round sharded execution (KernelKind::Sharded;
-  /// Auto resolves to it when != 1): 1 = serial, 0 = one per hardware
-  /// thread. Results are bit-identical for every value — the shard count is
-  /// derived from the graph alone and every phase writes only shard-owned
-  /// state (see docs/architecture.md, "Intra-round sharding").
+  /// Worker threads for the fast engine's intra-round shards: 1 = serial,
+  /// 0 = one per hardware thread. Results are bit-identical for every
+  /// value — every phase writes only shard-owned state (see
+  /// docs/architecture.md, "Intra-round sharding").
   std::size_t shard_threads = 1;
   /// Collect ShardTelemetry every round even without a tracing session (the
-  /// sharded kernel also collects whenever the tracer is live). Never changes
+  /// round kernel also collects whenever the tracer is live). Never changes
   /// a result — only clock reads and shard-owned tallies; the
   /// BM_EngineRunSharded_Telemetry bench pair holds the cost at <= 2%.
   bool phase_telemetry = false;
@@ -146,8 +123,8 @@ class Engine {
 
   /// Executor identity for manifests/logs, e.g. "fast-alg1".
   virtual std::string name() const = 0;
-  /// Resolved round-kernel identity for manifests/logs ("frontier",
-  /// "sharded"); "none" for executors without a kernel layer (reference).
+  /// Round-kernel identity for manifests/logs ("sharded"); "none" for
+  /// executors without a kernel layer (reference).
   virtual std::string kernel_name() const { return "none"; }
   virtual const graph::Graph& graph() const noexcept = 0;
   /// Rounds executed so far.

@@ -12,7 +12,7 @@ namespace beepmis::core {
 template <typename Policy>
 FastEngine<Policy>::FastEngine(const graph::Graph& g, LmaxVector lmax,
                                std::uint64_t seed, beep::ChannelNoise noise,
-                               beep::Duplex duplex, KernelKind kernel,
+                               beep::Duplex duplex,
                                std::size_t shard_threads,
                                bool phase_telemetry)
     : graph_(&g),
@@ -20,8 +20,7 @@ FastEngine<Policy>::FastEngine(const graph::Graph& g, LmaxVector lmax,
       seed_(seed),
       noise_(noise),
       duplex_(duplex),
-      dense_(noise.enabled()),
-      kernel_kind_(resolve_kernel(kernel, shard_threads)) {
+      dense_(noise.enabled()) {
   BEEPMIS_CHECK(lmax_.size() == g.vertex_count(), "lmax sized for wrong graph");
   for (std::int32_t m : lmax_)
     BEEPMIS_CHECK(m >= 2, "lmax must be at least 2 for every vertex");
@@ -53,7 +52,7 @@ FastEngine<Policy>::FastEngine(const graph::Graph& g, LmaxVector lmax,
   ctx.half = duplex_ == beep::Duplex::Half;
   ctx.shard_threads = shard_threads;
   ctx.telemetry = phase_telemetry;
-  kernel_ = make_round_kernel<Policy>(kernel_kind_, ctx);
+  kernel_ = std::make_unique<ShardedKernel<Policy>>(ctx);
 }
 
 template <typename Policy>
@@ -61,7 +60,7 @@ FastEngine<Policy>::~FastEngine() = default;
 
 template <typename Policy>
 bool FastEngine<Policy>::shard_telemetry(ShardTelemetry* out) const {
-  return kernel_ != nullptr && kernel_->shard_telemetry(out);
+  return kernel_->shard_telemetry(out);
 }
 
 template <typename Policy>
@@ -275,9 +274,9 @@ void FastEngine<Policy>::step_dense() {
   // Noise mode: a false negative can decay a capped vertex and a false
   // positive can evict a member, so nothing is permanently settled and the
   // sparse invariants do not hold. Run the reference semantics as a full
-  // sweep — identical for every kernel — replaying the shared noise stream
-  // in beep::Simulation's exact (vertex, channel) order; the per-node coins
-  // are counter draws, order-independent by construction.
+  // sweep — identical at every shard count — replaying the shared noise
+  // stream in beep::Simulation's exact (vertex, channel) order; the per-node
+  // coins are counter draws, order-independent by construction.
   const std::size_t n = levels_.size();
   const std::uint64_t rs = support::counter_round_state(seed_, round_);
   for (graph::VertexId v = 0; v < n; ++v)

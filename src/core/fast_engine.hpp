@@ -20,7 +20,7 @@ namespace beepmis::core {
 /// bundle of the per-algorithm pieces — channel count, beep decision, level
 /// update, membership encoding, corruption range — while the engine owns
 /// everything the algorithms share: levels, counter-keyed randomness, the
-/// lazy settlement cache, active-set maintenance, the round kernels,
+/// lazy settlement cache, active-set maintenance, the round kernel,
 /// noise/duplex handling, and event emission. Adding a future variant (e.g. the few-states algorithms
 /// of Giakkoupis–Ziccardi) means writing one such policy, not a new engine.
 ///
@@ -72,9 +72,9 @@ struct Alg1Policy {
   }
 
   /// update() as a select chain — same transition, no data-dependent
-  /// branches. The hot kernels use this form (chaos-phase heard/sent bits
-  /// are coin flips, so the textbook if-cascade mispredicts ~every vertex);
-  /// update() stays the readable oracle the tests compare against.
+  /// branches. The kernel's hot loops use this form (chaos-phase heard/sent
+  /// bits are coin flips, so the textbook if-cascade mispredicts ~every
+  /// vertex); update() stays the readable oracle the tests compare against.
   static std::int32_t update_packed(std::int32_t l, std::int32_t lmax,
                                     beep::ChannelMask sent,
                                     beep::ChannelMask heard) noexcept {
@@ -158,9 +158,9 @@ struct Alg2Policy {
 /// counter draw keyed by (seed, vertex, round) — a pure function of the
 /// coordinate, independent of visit order — and coins are drawn in exactly
 /// the same cases, so levels agree round-for-round (tested exhaustively in
-/// test_fast_engine.cpp). The sparse round itself is executed by a pluggable
-/// core::RoundKernel (frontier / sharded — see round_kernel.hpp), both
-/// proven stream-identical to the reference, so the kernel choice only moves
+/// test_fast_engine.cpp). The sparse round itself is executed by
+/// core::ShardedKernel (round_kernel.hpp), proven stream-identical to the
+/// reference at every shard count, so the shard count only moves
 /// wall-clock.
 /// The full model surface is covered:
 ///  - corrupt() mid-run invalidates settlement locally (the 2-hop patch
@@ -174,31 +174,25 @@ struct Alg2Policy {
 ///    order; settlement then only serves as a lazily refreshed
 ///    stabilization-predicate cache.
 template <typename Policy>
-class RoundKernel;
-struct SparseCensus;
+class ShardedKernel;
 
 template <typename Policy>
 class FastEngine final : public Engine {
  public:
-  /// `shard_threads` sizes the sharded kernel's private worker pool (only
-  /// read when the resolved kernel is Sharded; Auto resolves to Sharded
-  /// whenever shard_threads != 1): 1 = serial, 0 = one per hardware thread.
-  /// `phase_telemetry` makes the sharded kernel collect ShardTelemetry every
-  /// round (it always collects while a tracing session is live).
+  /// `shard_threads` sizes the round kernel's private worker pool: 1 =
+  /// serial, 0 = one per hardware thread. `phase_telemetry` makes the
+  /// kernel collect ShardTelemetry every round (it always collects while a
+  /// tracing session is live).
   FastEngine(const graph::Graph& g, LmaxVector lmax, std::uint64_t seed,
              beep::ChannelNoise noise = {},
              beep::Duplex duplex = beep::Duplex::Full,
-             KernelKind kernel = KernelKind::Auto,
              std::size_t shard_threads = 1, bool phase_telemetry = false);
-  ~FastEngine() override;  // out-of-line: RoundKernel is incomplete here
+  ~FastEngine() override;  // out-of-line: ShardedKernel is incomplete here
 
   std::string name() const override {
     return std::string("fast-") + Policy::kTag;
   }
-  /// The resolved round kernel ("frontier" / "sharded").
-  std::string kernel_name() const override {
-    return kernel_kind_name(kernel_kind_);
-  }
+  std::string kernel_name() const override { return "sharded"; }
   const graph::Graph& graph() const noexcept override { return *graph_; }
   std::uint64_t round() const noexcept override { return round_; }
   std::int32_t level(graph::VertexId v) const override { return levels_[v]; }
@@ -241,14 +235,13 @@ class FastEngine final : public Engine {
     observer_ = observer;
   }
   /// Routes internal timers into `registry` (may be null to detach); keyed
-  /// by variant and resolved kernel
-  /// ("fast_engine.<tag>.<kernel>.refresh_settlement") so frontier and
-  /// sharded timings are never conflated in reports. Both the
-  /// cumulative TimerStat and the "...refresh_settlement_ns" duration digest
-  /// (p50/p95/p99 of individual refreshes) are resolved once here.
+  /// by variant and kernel ("fast_engine.<tag>.<kernel>.refresh_settlement").
+  /// Both the cumulative TimerStat and the "...refresh_settlement_ns"
+  /// duration digest (p50/p95/p99 of individual refreshes) are resolved
+  /// once here.
   void set_metrics(obs::MetricsRegistry* registry) override {
     const std::string prefix = std::string("fast_engine.") + Policy::kTag +
-                               "." + kernel_kind_name(kernel_kind_);
+                               "." + kernel_name();
     refresh_timer_ =
         registry ? &registry->timer(prefix + ".refresh_settlement") : nullptr;
     refresh_digest_ =
@@ -256,8 +249,8 @@ class FastEngine final : public Engine {
                  : nullptr;
   }
 
-  /// Delegates to the round kernel: true with the sharded kernel once any
-  /// instrumented round has run, false otherwise.
+  /// Delegates to the round kernel: true once any instrumented round has
+  /// run, false otherwise.
   bool shard_telemetry(ShardTelemetry* out) const override;
 
  private:
@@ -287,8 +280,7 @@ class FastEngine final : public Engine {
   beep::Duplex duplex_ = beep::Duplex::Full;
   support::Rng noise_rng_{0};
   bool dense_ = false;  // noise breaks permanence; run full sweeps
-  KernelKind kernel_kind_ = KernelKind::Frontier;  // resolved, never Auto
-  std::unique_ptr<RoundKernel<Policy>> kernel_;
+  std::unique_ptr<ShardedKernel<Policy>> kernel_;
   // Kernel-private caches go stale whenever settlement is rebuilt or patched
   // outside a round; the kernel re-syncs lazily at the next sparse step.
   mutable bool kernel_stale_ = true;

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
-#include <memory>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "src/beep/types.hpp"
@@ -9,11 +11,12 @@
 #include "src/core/lmax.hpp"
 #include "src/graph/graph.hpp"
 #include "src/support/rng.hpp"
+#include "src/support/task_pool.hpp"
 
 namespace beepmis::core {
 
 /// The coin source the engine's dense sweep hands to Policy::decide_coin
-/// (the kernels inline the same test in decide_packed): coin(k) is a
+/// (the kernel inlines the same test in decide_packed): coin(k) is a
 /// Bernoulli(2^-k) trial on the first counter draw of the (seed, node, round)
 /// coordinate, with bernoulli_pow2's draw-free k == 0 / k >= 64 edges. Both
 /// beeping policies draw at most one coin per vertex per round, so the first
@@ -31,7 +34,7 @@ struct CounterCoin {
   }
 };
 
-/// Tallies over the pre-round active set, filled by RoundKernel::step_sparse.
+/// Tallies over the pre-round active set, filled by ShardedKernel::step_sparse.
 /// The engine combines them with the settled censuses (members/dominated
 /// counts are constants of a fault-free round) to assemble the RoundEvent.
 /// active_beeps is always filled (it also feeds the tracer's beep counter);
@@ -49,8 +52,8 @@ struct SparseCensus {
 };
 
 /// Non-owning view of the FastEngine state a kernel operates on. The engine
-/// owns every field; kernels read and write through these pointers and keep
-/// only derived caches of their own (the engine calls rebuild() after any
+/// owns every field; the kernel reads and writes through these pointers and
+/// keeps only derived caches of its own (the engine calls rebuild() after any
 /// out-of-band state write).
 template <typename Policy>
 struct KernelContext {
@@ -64,56 +67,120 @@ struct KernelContext {
   std::size_t* mis_count = nullptr;
   std::uint64_t seed = 0;  ///< master seed keying the counter draws
   bool half = false;       ///< Duplex::Half: a beeper hears nothing
-  /// Worker threads for the sharded kernel's private TaskPool (0 = one per
-  /// hardware thread, 1 = inline serial). Ignored by the frontier kernel.
+  /// Worker threads for the kernel's private TaskPool (0 = one per
+  /// hardware thread, 1 = inline serial).
   std::size_t shard_threads = 1;
   /// Collect per-phase ShardTelemetry every round, tracing session or not
-  /// (the sharded kernel always collects while the tracer is live). Ignored
-  /// by the frontier kernel.
+  /// (the kernel always collects while the tracer is live).
   bool telemetry = false;
 };
 
 /// One fault-free, noise-free round of FastEngine<Policy>: beep decisions
 /// over the active set (counter draws keyed by (seed, vertex, round)),
-/// feedback, level updates, and settlement/pruning. The two implementations
-/// — Frontier (serial) and Sharded (intra-round parallel) — are proven
-/// stream-identical to the reference beep::Simulation under RngMode::Counter,
-/// which shares no code with them: same levels, same censuses, round for
-/// round, across corruption and half-duplex (tests/test_kernels.cpp).
-/// Receiver noise never reaches a kernel; the engine runs its dense full
-/// sweep instead.
+/// feedback, level updates, and settlement/pruning, run as barrier-separated
+/// phases over contiguous word-aligned vertex shards on a private TaskPool.
+/// One shard is the serial path: the phases then run inline on the caller
+/// over the engine's own active list. Proven stream-identical to the
+/// reference beep::Simulation under RngMode::Counter, which shares no code
+/// with it: same levels, same censuses, round for round, at every shard
+/// count, across corruption and half-duplex (tests/test_kernels.cpp).
+/// Receiver noise never reaches the kernel; the engine runs its dense full
+/// sweep instead. See round_kernel.cpp for the phase structure.
 template <typename Policy>
-class RoundKernel {
+class ShardedKernel {
  public:
-  virtual ~RoundKernel() = default;
-
-  virtual const char* name() const noexcept = 0;
+  explicit ShardedKernel(const KernelContext<Policy>& ctx);
 
   /// Executes round `round` (the engine's pre-increment round index, which
   /// keys the counter draws). `observing` requests exact heard masks and the
-  /// census fields; without it a kernel may resolve only the bits the level
-  /// update needs.
-  virtual void step_sparse(std::uint64_t round, bool observing,
-                           SparseCensus& census) = 0;
+  /// census fields; without it the kernel may resolve only the bits the
+  /// level update needs.
+  void step_sparse(std::uint64_t round, bool observing, SparseCensus& census);
 
   /// Re-syncs kernel-private caches (neighborhood counts, capped and
   /// member-neighbor masks) with the engine's levels/settled/active after an
   /// out-of-band write — set_level refresh, corruption resettle. Called
   /// lazily by the engine before the next step_sparse.
-  virtual void rebuild() = 0;
+  void rebuild();
 
-  /// Snapshots cumulative phase telemetry (sharded kernel only): false on
-  /// the frontier kernel and before any instrumented round has run.
-  virtual bool shard_telemetry(ShardTelemetry* out) const {
-    (void)out;
-    return false;
+  /// Snapshots cumulative phase telemetry: false before any instrumented
+  /// round has run.
+  bool shard_telemetry(ShardTelemetry* out) const;
+
+ private:
+  struct Delta {
+    graph::VertexId v;
+    std::int32_t d;
+  };
+  struct Shard {
+    std::size_t word_lo = 0, word_hi = 0;  ///< exclusively owned mask words
+    graph::VertexId v_lo = 0, v_hi = 0;    ///< vertex range [64*lo, 64*hi)∩[0,n)
+    std::vector<graph::VertexId> active;   ///< shard's slice of the active set
+    std::vector<graph::VertexId> new_members;  ///< settled in 3a, applied by fold
+    std::vector<graph::VertexId> coin;     ///< this round's coin beepers
+    std::vector<Delta> dp, dc;             ///< this round's boundary crossers
+    std::vector<graph::VertexId> settle_cand;  ///< member-settle candidates
+    // Compressed-store targets for the AVX-512 sweeps (lazily sized).
+    std::vector<std::uint32_t> dp_idx, dc_idx, sc_idx;
+    SparseCensus census;
+    std::uint32_t mis_settled = 0;
+    std::uint64_t busy_ns = 0;  ///< this round's task-body time (telemetry)
+    bool sweep = false;  ///< this round took the dense sweep path
+    bool any_settled = false;
+  };
+  using TelClock = std::chrono::steady_clock;
+  using PhaseFn = std::function<void(std::size_t)>;
+
+  /// The shard's slice of the engine's active list. At one shard the slice
+  /// is the engine's list itself — no copy, and 3b's prune is the only one.
+  std::vector<graph::VertexId>& active_of(Shard& sh) const {
+    return shards_.size() == 1 ? *ctx_.active : sh.active;
   }
-};
+  std::span<const graph::VertexId> nb_range(graph::VertexId v,
+                                            const Shard& sh) const;
+  void run_phase(std::size_t pi, const PhaseFn& fn);
+  void finish_round_telemetry(std::uint64_t round, std::uint64_t active);
+  void rebuild_shard(std::size_t si);
+  void phase1(std::size_t si);
+  void stamp(std::size_t si);
+  void phase2(std::size_t si);
+  void apply(std::size_t si);
+  void phase3a(std::size_t si);
+  void phase3b(std::size_t si);
 
-/// Builds the requested kernel over `ctx`. KernelKind::Auto must be resolved
-/// by the caller (resolve_kernel) first.
-template <typename Policy>
-std::unique_ptr<RoundKernel<Policy>> make_round_kernel(
-    KernelKind kind, const KernelContext<Policy>& ctx);
+  KernelContext<Policy> ctx_;
+  support::TaskPool pool_;
+  std::size_t words_ = 0;
+  std::size_t shard_words_ = 0;  ///< words per shard (last shard clipped)
+  std::vector<Shard> shards_;
+  std::vector<std::uint64_t> active_mask_;
+  std::vector<std::uint64_t> member_nb_mask_;  // has a settled-member neighbor
+  std::vector<std::uint64_t> capped_mask_;     // levels[v] == lmax[v], all v
+  std::vector<std::uint64_t> heard_coin_mask_;  // coin audibility this round
+  std::vector<std::uint32_t> prominent_nb_;  // certainly-beeping neighbors
+  std::vector<std::uint32_t> uncapped_nb_;   // neighbors off their cap
+  // Per-round inputs for the pre-bound phase closures.
+  std::uint64_t round_state_ = 0;
+  bool observing_ = false;
+  bool full_scan_ = true;  // next settle phase must scan all of active
+  PhaseFn rebuild_fn_, phase1_fn_, stamp_fn_, phase2_fn_, apply_fn_;
+  PhaseFn phase3a_fn_, phase3b_fn_;
+  // Phase telemetry (see ShardTelemetry): cumulative over instrumented
+  // rounds, all coordinator-owned — workers only ever write their own
+  // shard's busy_ns through timed_fn_.
+  PhaseFn timed_fn_;
+  const PhaseFn* timed_inner_ = nullptr;
+  bool tel_round_ = false;        // collecting this round
+  std::uint64_t round_wall_ns_ = 0;  // this round's parallel-phase wall
+  std::uint64_t tel_rounds_ = 0;
+  std::uint64_t tel_phase_ns_[kShardPhaseCount] = {};
+  std::uint64_t tel_busy_ns_ = 0;
+  std::uint64_t tel_max_busy_ns_ = 0;
+  std::uint64_t tel_barrier_ns_ = 0;
+  std::uint64_t tel_active_ = 0;
+  std::uint64_t tel_coin_ = 0;
+  std::uint64_t tel_crossers_ = 0;
+  std::uint64_t tel_cand_ = 0;
+};
 
 }  // namespace beepmis::core

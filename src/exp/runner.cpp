@@ -120,11 +120,10 @@ RunResult run_variant(const graph::Graph& g, Variant variant,
                       beep::Round max_rounds, std::int32_t c1,
                       obs::MetricsRegistry* metrics,
                       obs::RoundObserver* observer, core::EngineKind kind,
-                      core::KernelKind kernel, std::size_t shard_threads) {
+                      std::size_t shard_threads) {
   core::EngineConfig config;
   config.variant = variant;
   config.kind = kind;
-  config.kernel = kernel;
   config.seed = seed;
   config.c1 = c1;
   config.shard_threads = shard_threads;
@@ -146,7 +145,6 @@ std::vector<RunResult> run_replicas(const graph::Graph& g, Variant variant,
                                     obs::MetricsRegistry* metrics,
                                     obs::RoundObserver* observer,
                                     core::EngineKind kind,
-                                    core::KernelKind kernel,
                                     std::size_t shard_threads) {
   struct Shard {
     RunResult result;
@@ -165,7 +163,7 @@ std::vector<RunResult> run_replicas(const graph::Graph& g, Variant variant,
     shard.result =
         run_variant(g, variant, init, seeds[i], max_rounds, c1, scratch,
                     observer != nullptr ? &shard.events : nullptr, kind,
-                    kernel, shard_threads);
+                    shard_threads);
   });
   // Deterministic fold in seed order: digests are order-sensitive, so the
   // coordinator — not the workers — owns all shared aggregation.

@@ -64,20 +64,18 @@ RunResult run_to_stabilization(core::Engine& engine, beep::Round max_rounds,
                                obs::MetricsRegistry* metrics = nullptr);
 
 /// One-shot: build, initialize, run. The workhorse of the sweeps. Routed
-/// through core::make_engine — `kind` selects the executor and `kernel` the
-/// fast engine's round kernel (Auto = fast / frontier; results are engine-
-/// and kernel-independent because all executors are stream-identical under
-/// the same seed). `observer`, if given, receives one obs::RoundEvent per
-/// round.
+/// through core::make_engine — `kind` selects the executor (Auto = fast;
+/// results are engine-independent because all executors are
+/// stream-identical under the same seed). `observer`, if given, receives one
+/// obs::RoundEvent per round.
 /// `shard_threads` sizes the fast engine's intra-round sharded pool (see
-/// core::EngineConfig::shard_threads); 1 keeps every kernel serial.
+/// core::EngineConfig::shard_threads); 1 keeps the round serial.
 RunResult run_variant(const graph::Graph& g, Variant variant,
                       core::InitPolicy init, std::uint64_t seed,
                       beep::Round max_rounds, std::int32_t c1 = 0,
                       obs::MetricsRegistry* metrics = nullptr,
                       obs::RoundObserver* observer = nullptr,
                       core::EngineKind kind = core::EngineKind::Auto,
-                      core::KernelKind kernel = core::KernelKind::Auto,
                       std::size_t shard_threads = 1);
 
 /// Batch entry point: one run_variant replica per entry of `seeds`, all on
@@ -98,8 +96,6 @@ std::vector<RunResult> run_replicas(const graph::Graph& g, Variant variant,
                                     obs::RoundObserver* observer = nullptr,
                                     core::EngineKind kind =
                                         core::EngineKind::Auto,
-                                    core::KernelKind kernel =
-                                        core::KernelKind::Auto,
                                     std::size_t shard_threads = 1);
 
 /// A generous default budget: stabilization is Θ(log n), so this failing

@@ -40,10 +40,6 @@ struct SweepConfig {
   /// so sweeps never fall back to the slow path; Reference exists for
   /// cross-checks.
   core::EngineKind engine = core::EngineKind::Auto;
-  /// Round-kernel selection for the fast engine (frontier / sharded, both
-  /// stream-identical — see core::resolve_kernel for Auto). Purely a
-  /// wall-clock knob: sweep results never depend on it.
-  core::KernelKind kernel = core::KernelKind::Auto;
   /// Optional telemetry: per-run wall time ("sweep.run" timer), the
   /// "sweep.rounds_to_stabilize" histogram + quantile digest and sweep.*
   /// counters land here; the fast engines also route their internal timers

@@ -2,46 +2,37 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "src/core/engine.hpp"
-#include "src/core/fast_engine.hpp"
 #include "src/graph/generators.hpp"
 
 namespace beepmis::core {
 namespace {
 
-// The kernel contract: every round-kernel executor — frontier, and sharded
-// at any worker count — reproduces the reference executor (beep::Simulation
+// The kernel contract: the round kernel at any shard count — one shard is
+// the serial path — reproduces the reference executor (beep::Simulation
 // running SelfStabMis / SelfStabMisTwoChannel under RngMode::Counter, which
 // shares no code with the kernels) round for round: the same level vector,
 // the same stabilization verdict and the same MIS, from any starting
 // configuration, under full and half duplex, across mid-run corruption.
 //
 // The Lockstep tests run WITHOUT observers: that keeps the fast engines on
-// the non-observing step, which on AVX-512 hosts routes the kernels through
+// the non-observing step, which on AVX-512 hosts routes the kernel through
 // the dense SIMD sweep (kernel_simd.hpp) — so the sweep is proven against
 // the oracle here, not just the indexed loops. The observed variants below
 // additionally pin the per-round RoundEvent stream.
 
-/// Fast executors under test: the serial frontier kernel, and the sharded
-/// kernel inline (1), at an even split (2) and at the CI host's core count
-/// (4).
-struct Executor {
-  KernelKind kernel;
-  std::size_t shard_threads;
-};
-constexpr Executor kExecutors[] = {{KernelKind::Frontier, 1},
-                                   {KernelKind::Sharded, 1},
-                                   {KernelKind::Sharded, 2},
-                                   {KernelKind::Sharded, 4}};
+/// Shard-thread counts under test: inline serial (1), an even split (2), a
+/// clipped last shard (3 — e.g. 1024 vertices are 16 words, cut 6/6/4; 160
+/// vertices end mid-word) and the CI host's core count (4).
+constexpr std::size_t kExecutors[] = {1, 2, 3, 4};
 
-std::string label(const Executor& x) {
-  return kernel_kind_name(x.kernel) + "/" + std::to_string(x.shard_threads);
+std::string label(std::size_t shard_threads) {
+  return "sharded/" + std::to_string(shard_threads);
 }
 
 /// Captures an engine's per-round event stream for exact comparison.
@@ -59,7 +50,7 @@ class Lockstep {
   /// log to every engine and compares the streams too.
   Lockstep(const graph::Graph& g, Variant variant, std::uint64_t seed,
            beep::Duplex duplex = beep::Duplex::Full,
-           std::span<const Executor> executors = kExecutors,
+           std::span<const std::size_t> executors = kExecutors,
            bool observe = false)
       : executors_(executors.begin(), executors.end()) {
     EngineConfig config;
@@ -69,11 +60,9 @@ class Lockstep {
     config.kind = EngineKind::Reference;
     oracle_ = make_engine(g, config);
     config.kind = EngineKind::Fast;
-    for (const Executor& x : executors_) {
-      config.kernel = x.kernel;
-      config.shard_threads = x.shard_threads;
+    for (std::size_t t : executors_) {
+      config.shard_threads = t;
       fast_.push_back(make_engine(g, config));
-      EXPECT_EQ(fast_.back()->kernel_name(), kernel_kind_name(x.kernel));
     }
     if (observe) {
       logs_.resize(fast_.size() + 1);
@@ -135,7 +124,7 @@ class Lockstep {
   }
 
  private:
-  std::vector<Executor> executors_;
+  std::vector<std::size_t> executors_;
   std::unique_ptr<Engine> oracle_;
   std::vector<std::unique_ptr<Engine>> fast_;
   std::vector<EventLog> logs_;  // [0] oracle, [i + 1] fast_[i]
@@ -201,7 +190,7 @@ TEST(Kernels, HalfDuplexLockstep) {
 }
 
 TEST(Kernels, SweepSizedGraphMatchesReference) {
-  // Large enough that the frontier kernel's dense-sweep gate
+  // Large enough that the one-shard dense-sweep gate
   // (n >= 64, |active| * 8 >= n) holds for the whole chaos phase on
   // AVX-512 hosts, and the endgame drops below it — both paths and the
   // crossover are exercised in one run. Also big enough for several
@@ -213,50 +202,19 @@ TEST(Kernels, SweepSizedGraphMatchesReference) {
   ls.run(200);
 }
 
-TEST(Kernels, AutoResolvesToFrontier) {
-  EXPECT_EQ(resolve_kernel(KernelKind::Auto), KernelKind::Frontier);
-  EXPECT_EQ(resolve_kernel(KernelKind::Frontier), KernelKind::Frontier);
-  EXPECT_EQ(resolve_kernel(KernelKind::Sharded), KernelKind::Sharded);
-}
-
-TEST(Kernels, AutoWithShardThreadsResolvesToSharded) {
-  // The config-aware overload: asking for intra-round parallelism flips
-  // Auto to the sharded kernel; explicit choices always win.
-  EXPECT_EQ(resolve_kernel(KernelKind::Auto, 1), KernelKind::Frontier);
-  EXPECT_EQ(resolve_kernel(KernelKind::Auto, 8), KernelKind::Sharded);
-  EXPECT_EQ(resolve_kernel(KernelKind::Auto, 0), KernelKind::Sharded);
-  EXPECT_EQ(resolve_kernel(KernelKind::Frontier, 8), KernelKind::Frontier);
-  EXPECT_EQ(resolve_kernel(KernelKind::Sharded, 1), KernelKind::Sharded);
-}
-
-TEST(Kernels, KernelNamesRoundTrip) {
-  for (KernelKind k :
-       {KernelKind::Auto, KernelKind::Frontier, KernelKind::Sharded}) {
-    KernelKind parsed = KernelKind::Auto;
-    ASSERT_TRUE(parse_kernel_kind(kernel_kind_name(k), &parsed));
-    EXPECT_EQ(parsed, k);
-  }
-  KernelKind untouched = KernelKind::Sharded;
-  for (const char* gone : {"scalar", "bit", ""})
-    EXPECT_FALSE(parse_kernel_kind(gone, &untouched)) << gone;
-  EXPECT_EQ(untouched, KernelKind::Sharded);
-}
-
-TEST(Kernels, EngineExposesResolvedKernelName) {
+TEST(Kernels, EveryKernelKindBuildsTheShardedKernel) {
+  // KernelKind survives only for callers that still name it; both values
+  // build the one kernel, at any shard count.
   const auto g = graph::make_path(8);
-  const auto lmax = lmax_global_delta(g);
-  const std::array<std::pair<KernelKind, const char*>, 3> cases = {{
-      {KernelKind::Auto, "frontier"},
-      {KernelKind::Frontier, "frontier"},
-      {KernelKind::Sharded, "sharded"},
-  }};
-  for (const auto& [kind, name] : cases) {
-    FastEngine<Alg1Policy> e(g, lmax, 1, {}, beep::Duplex::Full, kind);
-    EXPECT_EQ(e.kernel_name(), name);
+  for (KernelKind kind : {KernelKind::Auto, KernelKind::Sharded}) {
+    for (std::size_t t : {std::size_t{1}, std::size_t{4}}) {
+      EngineConfig config;
+      config.kind = EngineKind::Fast;
+      config.kernel = kind;
+      config.shard_threads = t;
+      EXPECT_EQ(make_engine(g, config)->kernel_name(), "sharded");
+    }
   }
-  FastEngine<Alg1Policy> sh(g, lmax, 1, {}, beep::Duplex::Full,
-                            KernelKind::Auto, /*shard_threads=*/4);
-  EXPECT_EQ(sh.kernel_name(), "sharded");
 }
 
 // ---------------------------------------------------------------------------
@@ -271,11 +229,7 @@ TEST(Kernels, EngineExposesResolvedKernelName) {
 // split), 8 (more workers than this host has cores — oversubscribed), 0 (one
 // per hardware thread, host-dependent). Byte-identical output across all of
 // them IS the determinism contract.
-constexpr Executor kObserved[] = {{KernelKind::Frontier, 1},
-                                  {KernelKind::Sharded, 1},
-                                  {KernelKind::Sharded, 3},
-                                  {KernelKind::Sharded, 8},
-                                  {KernelKind::Sharded, 0}};
+constexpr std::size_t kObserved[] = {1, 3, 8, 0};
 
 TEST(Kernels, ObservedLockstepGridAlg1) {
   support::Rng grng(31);

@@ -243,20 +243,20 @@ TEST(RecoverySummary, MergeFoldsCountersAndDigest) {
 // ---------------------------------------------------------------------------
 // End-to-end against real engines.
 
-core::EngineConfig engine_config(core::KernelKind kernel,
-                                 std::uint64_t seed) {
+core::EngineConfig engine_config(std::uint64_t seed,
+                                 std::size_t shard_threads = 1) {
   core::EngineConfig cfg;
   cfg.variant = core::Variant::GlobalDelta;
   cfg.kind = core::EngineKind::Fast;
-  cfg.kernel = kernel;
   cfg.seed = seed;
+  cfg.shard_threads = shard_threads;
   return cfg;
 }
 
 TEST(RecoveryIntegration, CleanRunHasNoSpuriousViolations) {
   support::Rng grng(91);
   const auto g = graph::make_erdos_renyi_avg_degree(160, 8.0, grng);
-  auto engine = core::make_engine(g, engine_config(core::KernelKind::Auto, 7));
+  auto engine = core::make_engine(g, engine_config(7));
 
   obs::InvariantConfig icfg;
   icfg.cadence = 8;
@@ -278,7 +278,7 @@ TEST(RecoveryIntegration, CorruptionRecoversWithinPaperBound) {
   support::Rng grng(92);
   const auto g = graph::make_erdos_renyi_avg_degree(200, 8.0, grng);
   auto engine =
-      core::make_engine(g, engine_config(core::KernelKind::Auto, 11));
+      core::make_engine(g, engine_config(11));
   const beep::Round budget = exp::default_round_budget(g.vertex_count());
 
   obs::RecoveryConfig rcfg;
@@ -328,7 +328,7 @@ TEST(RecoveryIntegration, EmptyCorruptionIsMasked) {
   support::Rng grng(93);
   const auto g = graph::make_erdos_renyi_avg_degree(120, 8.0, grng);
   auto engine =
-      core::make_engine(g, engine_config(core::KernelKind::Auto, 13));
+      core::make_engine(g, engine_config(13));
   obs::RecoveryTracker tracker(obs::RecoveryConfig{});
   tracker.set_probe(core::make_invariant_probe(*engine));
   engine->set_observer(&tracker);
@@ -353,7 +353,7 @@ TEST(RecoveryIntegration, EmptyCorruptionIsMasked) {
 // Kernel parity: the recovery artifact and the flight dump are functions of
 // the stream-identical event sequence and the engine-independent settlement
 // view, so the same seeded corrupted run must produce byte-identical bytes
-// on the reference executor and on both kernels.
+// on the reference executor and on the fast engine at one and two shards.
 
 struct KernelRunArtifacts {
   std::string recovery;
@@ -432,20 +432,16 @@ KernelRunArtifacts run_corrupted(const graph::Graph& g,
 TEST(RecoveryIntegration, KernelsProduceIdenticalArtifacts) {
   support::Rng grng(94);
   const auto g = graph::make_erdos_renyi_avg_degree(192, 8.0, grng);
-  // Both kernels against the reference beep::Simulation, which shares no
-  // code with them.
-  core::EngineConfig ref_config = engine_config(core::KernelKind::Auto, 77);
+  // The kernel at one and two shards against the reference
+  // beep::Simulation, which shares no code with it.
+  core::EngineConfig ref_config = engine_config(77);
   ref_config.kind = core::EngineKind::Reference;
-  core::EngineConfig sharded_config =
-      engine_config(core::KernelKind::Sharded, 77);
-  sharded_config.shard_threads = 2;
   const auto reference = run_corrupted(g, ref_config);
-  const auto frontier =
-      run_corrupted(g, engine_config(core::KernelKind::Frontier, 77));
-  const auto sharded = run_corrupted(g, sharded_config);
-  EXPECT_EQ(reference.recovery, frontier.recovery);
+  const auto serial = run_corrupted(g, engine_config(77, 1));
+  const auto sharded = run_corrupted(g, engine_config(77, 2));
+  EXPECT_EQ(reference.recovery, serial.recovery);
   EXPECT_EQ(reference.recovery, sharded.recovery);
-  EXPECT_EQ(reference.dump, frontier.dump);
+  EXPECT_EQ(reference.dump, serial.dump);
   EXPECT_EQ(reference.dump, sharded.dump);
 
   // And the artifact the executors agree on is a valid document.

@@ -433,11 +433,6 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
               << " (try auto, fast, reference)\n";
     std::exit(2);
   }
-  if (!core::parse_kernel_kind(args.get("kernel"), &config.kernel)) {
-    std::cerr << "unknown kernel: " << args.get("kernel")
-              << " (try auto, frontier, sharded)\n";
-    std::exit(2);
-  }
   config.shard_threads =
       static_cast<std::size_t>(args.get_int("shard-threads"));
   if (const std::string& d = args.get("duplex"); d == "half") {
@@ -458,10 +453,7 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
   // Shard count this run will actually use — trace and timeseries context,
   // so beepmis_report can key its phase-breakdown tables on it.
   const std::size_t shards =
-      core::resolve_kernel(config.kernel, config.shard_threads) ==
-              core::KernelKind::Sharded
-          ? support::TaskPool::resolve_thread_count(config.shard_threads)
-          : 1;
+      support::TaskPool::resolve_thread_count(config.shard_threads);
 
   trace_begin(args,
               {{"algorithm", exp::variant_name(variant)},
@@ -670,8 +662,8 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
 
   if (recovery) {
     const obs::RecoverySummary sum = recovery->summary();
-    // Kernel- and thread-invariant: this line (like the run lines above) is
-    // part of the stdout the CI equivalence gates diff across kernels.
+    // Engine- and thread-invariant: this line (like the run lines above) is
+    // part of the stdout the CI equivalence gates diff across engines.
     std::printf("recovery: epochs=%llu masked=%llu recovered=%llu "
                 "stall=%llu safety=%llu violations=%llu\n",
                 static_cast<unsigned long long>(sum.epochs),
@@ -753,7 +745,6 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
     man.add_extra("engine", engine->name());
     man.add_extra("engine_requested", core::engine_kind_name(config.kind));
     man.add_extra("kernel", engine->kernel_name());
-    man.add_extra("kernel_requested", core::kernel_kind_name(config.kernel));
     man.add_extra("shard_threads_requested", args.get("shard-threads"));
     man.add_extra("shards", std::to_string(shards));
     man.add_extra("duplex", args.get("duplex"));
@@ -806,11 +797,6 @@ int run_sweep(const support::ArgParser& args, exp::Variant variant,
   if (!core::parse_engine_kind(args.get("engine"), &cfg.engine)) {
     std::cerr << "unknown engine: " << args.get("engine")
               << " (try auto, fast, reference)\n";
-    return 2;
-  }
-  if (!core::parse_kernel_kind(args.get("kernel"), &cfg.kernel)) {
-    std::cerr << "unknown kernel: " << args.get("kernel")
-              << " (try auto, frontier, sharded)\n";
     return 2;
   }
   cfg.shard_threads =
@@ -886,10 +872,9 @@ int run_sweep(const support::ArgParser& args, exp::Variant variant,
     w.field("init", args.get("init"));
     w.field("base_seed", static_cast<std::uint64_t>(cfg.base_seed));
     w.field("seeds_per_size", static_cast<std::uint64_t>(cfg.seeds));
-    // Wall-clock provenance only: results are kernel-invariant, and the CI
-    // equivalence gate diffs sweep outputs across kernels modulo this field.
-    w.field("kernel", core::kernel_kind_name(core::resolve_kernel(
-                          cfg.kernel, cfg.shard_threads)));
+    // Provenance only: results are shard- and engine-invariant, and the CI
+    // equivalence gate diffs sweep outputs across engines modulo this field.
+    w.field("kernel", "sharded");
     w.key("points").begin_array();
     for (const auto& pt : points) {
       w.begin_object();
@@ -1065,12 +1050,8 @@ int main(int argc, char** argv) {
   args.add_option("engine", "auto",
                   "executor for self-stab variants: auto | fast | reference "
                   "(auto picks the fast engine; both are stream-identical)");
-  args.add_option("kernel", "auto",
-                  "fast-engine round kernel: auto | frontier | sharded (both "
-                  "stream-identical; auto picks frontier, or sharded when "
-                  "--shard-threads != 1)");
   args.add_option("shard-threads", "1",
-                  "worker threads INSIDE each round (sharded kernel): 1 = "
+                  "worker threads INSIDE each fast-engine round: 1 = "
                   "serial, 0 = one per hardware thread; results are "
                   "bit-identical for every value");
   args.add_option("duplex", "full",

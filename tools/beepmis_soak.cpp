@@ -73,8 +73,8 @@ struct SoakKnobs {
 };
 
 bool run_scenario(const Scenario& s, std::uint64_t seed,
-                  core::EngineKind kind, core::KernelKind kernel,
-                  std::size_t shard_threads, obs::MetricsRegistry& metrics,
+                  core::EngineKind kind, std::size_t shard_threads,
+                  obs::MetricsRegistry& metrics,
                   const std::string& dump_path, const SoakKnobs& knobs,
                   obs::RecoverySummary* recovery_out,
                   core::ShardTelemetry* shard_out) {
@@ -84,12 +84,11 @@ bool run_scenario(const Scenario& s, std::uint64_t seed,
   core::EngineConfig config;
   config.variant = s.variant;
   config.kind = kind;
-  config.kernel = kernel;
   config.seed = seed;
   config.shard_threads = shard_threads;
-  // Phase telemetry rides along whenever the sharded kernel is in the
-  // rotation, so the heartbeat can report load imbalance; it observes only
-  // (every verdict stays identical with it on or off).
+  // Phase telemetry rides along whenever shard workers are requested, so
+  // the heartbeat can report load imbalance; it observes only (every
+  // verdict stays identical with it on or off).
   config.phase_telemetry = shard_threads != 1;
   auto engine = core::make_engine(g, config);
   engine->set_metrics(&metrics);
@@ -292,18 +291,13 @@ int main(int argc, char** argv) {
   args.add_option("engine", "auto",
                   "executor: auto | fast | reference — auto alternates "
                   "randomly per scenario so both executors get soak coverage");
-  args.add_option("kernel", "auto",
-                  "fast-engine round kernel: auto | frontier | sharded — "
-                  "auto picks frontier, or rotates per scenario between "
-                  "frontier and sharded when --shard-threads != 1");
   args.add_option("threads", "1",
                   "worker threads for scenario execution (0 = one per "
                   "hardware thread); the scenario stream, every verdict and "
                   "all non-timing metrics are identical for every value");
   args.add_option("shard-threads", "1",
-                  "worker threads INSIDE each sharded-kernel round (0 = one "
-                  "per hardware thread); when != 1 the auto kernel rotation "
-                  "gains sharded as a second pick and the heartbeat reports "
+                  "worker threads INSIDE each fast-engine round (0 = one "
+                  "per hardware thread); when != 1 the heartbeat reports "
                   "phase-imbalance from the folded shard telemetry");
   args.add_option("trace-out", "",
                   "write a beepmis.trace.v1 span trace to this file at exit "
@@ -330,20 +324,9 @@ int main(int argc, char** argv) {
                  args.get("engine").c_str());
     return 2;
   }
-  core::KernelKind kernel_requested;
-  if (!core::parse_kernel_kind(args.get("kernel"), &kernel_requested)) {
-    std::fprintf(
-        stderr,
-        "unknown kernel: %s (try auto, frontier, sharded)\n",
-        args.get("kernel").c_str());
-    return 2;
-  }
   const auto shard_threads =
       static_cast<std::size_t>(args.get_int("shard-threads"));
-  // Sharded only enters the auto rotation when asked for: with the default
-  // --shard-threads 1 auto always picks frontier. 0 means one shard worker
-  // per hardware thread, like the CLI.
-  const bool shard_rotation = shard_threads != 1;
+  // 0 means one shard worker per hardware thread, like the CLI.
 
   const bool tracing = !args.get("trace-out").empty();
   if (tracing) {
@@ -440,16 +423,8 @@ int main(int argc, char** argv) {
           requested != core::EngineKind::Auto ? requested
           : srng.bernoulli(0.5)               ? core::EngineKind::Fast
                                               : core::EngineKind::Reference;
-      // Same idea for the round kernel: with shard workers requested, Auto
-      // alternates the fast engine between the two stream-identical
-      // kernels, still seed-deterministic.
-      core::KernelKind kernel = kernel_requested;
-      if (kernel == core::KernelKind::Auto)
-        kernel = shard_rotation && srng.bernoulli(0.5)
-                     ? core::KernelKind::Sharded
-                     : core::KernelKind::Frontier;
       outcomes[i].ok =
-          run_scenario(s, seed, kind, kernel, shard_threads,
+          run_scenario(s, seed, kind, shard_threads,
                        outcomes[i].scratch,
                        task_dump_path(dump_base, ordinal + i, parallel),
                        knobs, &outcomes[i].recovery, &outcomes[i].telemetry);
@@ -578,7 +553,7 @@ int main(int argc, char** argv) {
     man.add_extra("scenarios", std::to_string(runs));
     man.add_extra("recovery_epochs", std::to_string(recovery_total.epochs));
     man.add_extra("engine", core::engine_kind_name(requested));
-    man.add_extra("kernel", core::kernel_kind_name(kernel_requested));
+    man.add_extra("kernel", "sharded");
     man.add_extra("shard_threads", std::to_string(shard_threads));
     man.add_extra("result", failed ? "FAILED" : "passed");
     std::ofstream mout(path);
