@@ -44,7 +44,7 @@ struct ChannelNoise {
 /// - Counter: node v's draws in round t come from the stateless coordinate
 ///   stream `support::counter_stream(seed, v, t)` — a pure function of
 ///   (seed, node, round), independent of visit order and of every other
-///   round. This is the compatibility mode the fast-engine kernels are
+///   round. This is the compatibility mode the fast-engine kernel is
 ///   proven stream-identical against.
 enum class RngMode { Stream, Counter };
 

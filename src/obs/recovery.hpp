@@ -223,7 +223,7 @@ struct RecoveryReport {
 
 /// Writes the "beepmis.recovery.v1" document. Deterministic: no wall-clock,
 /// thread-count or host data — the CI gates diff these artifacts
-/// byte-for-byte across kernels and --threads values.
+/// byte-for-byte across engines and --threads values.
 void write_recovery_json(std::ostream& os, const RecoveryReport& report);
 
 /// Strict structural validation of a parsed "beepmis.recovery.v1" document

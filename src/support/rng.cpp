@@ -90,7 +90,7 @@ std::uint64_t counter_round_state(std::uint64_t master_seed,
   // Absorb each coordinate between full SplitMix64 avalanches so adjacent
   // coordinates land on unrelated keys. The round is absorbed before the
   // node so everything node-independent folds into this per-round prefix —
-  // the kernels' per-vertex cost is then just counter_first_draw_at.
+  // the kernel's per-vertex cost is then just counter_first_draw_at.
   std::uint64_t state = master_seed;
   state = splitmix64(state) ^ round;
   return splitmix64(state);

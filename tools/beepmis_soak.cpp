@@ -326,7 +326,6 @@ int main(int argc, char** argv) {
   }
   const auto shard_threads =
       static_cast<std::size_t>(args.get_int("shard-threads"));
-  // 0 means one shard worker per hardware thread, like the CLI.
 
   const bool tracing = !args.get("trace-out").empty();
   if (tracing) {
