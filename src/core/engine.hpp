@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -86,6 +87,22 @@ struct ShardTelemetry {
     return busy_ms > 0.0 && shards > 0
                ? max_busy_ms / (busy_ms / static_cast<double>(shards))
                : 0.0;
+  }
+
+  /// Folds another run's totals into this one; the shard count is the
+  /// larger of the two.
+  void merge(const ShardTelemetry& o) noexcept {
+    shards = std::max(shards, o.shards);
+    rounds += o.rounds;
+    for (std::size_t p = 0; p < kShardPhaseCount; ++p)
+      phase_ms[p] += o.phase_ms[p];
+    busy_ms += o.busy_ms;
+    max_busy_ms += o.max_busy_ms;
+    barrier_wait_ms += o.barrier_wait_ms;
+    active_vertices += o.active_vertices;
+    coin_beepers += o.coin_beepers;
+    crosser_rows += o.crosser_rows;
+    settled_candidates += o.settled_candidates;
   }
 };
 

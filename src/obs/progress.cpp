@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 #include <utility>
 
 #include "src/obs/json.hpp"
@@ -20,11 +21,18 @@ bool fail(std::string* error, std::string msg) {
 
 ProgressWriter::ProgressWriter(std::string path, std::size_t keep)
     : path_(std::move(path)), tmp_path_(path_ + ".tmp") {
-  ring_.resize(std::max<std::size_t>(keep, 1));
+  if (!to_stderr()) ring_.resize(std::max<std::size_t>(keep, 1));
 }
 
 void ProgressWriter::beat(const ProgressSample& sample) {
   if (!ok()) return;
+  if (to_stderr()) {
+    ++beats_;
+    std::ostringstream line;
+    progress_write_text(line, sample);
+    std::fprintf(stderr, "%s\n", line.str().c_str());
+    return;
+  }
   ring_[head_] = sample;
   head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
   ++beats_;
@@ -71,6 +79,22 @@ void progress_write_line(std::ostream& os, const ProgressSample& s) {
   w.field("trace_dropped", s.trace_dropped);
   w.end_object();
   w.end_object();
+}
+
+void progress_write_text(std::ostream& os, const ProgressSample& s) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "[beepmis] round=%llu budget=%llu active=%llu mis=%llu "
+                "rate=%.1f/s eta=%.1fs imbalance=%.2f rss=%.1fMiB "
+                "trace-dropped=%llu",
+                static_cast<unsigned long long>(s.round),
+                static_cast<unsigned long long>(s.budget),
+                static_cast<unsigned long long>(s.active),
+                static_cast<unsigned long long>(s.mis), s.rounds_per_sec,
+                s.eta_s, s.imbalance,
+                static_cast<double>(s.peak_rss_bytes) / (1024.0 * 1024.0),
+                static_cast<unsigned long long>(s.trace_dropped));
+  os << buf;
 }
 
 bool progress_validate_line(const JsonValue& line, std::string* error) {

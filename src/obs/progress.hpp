@@ -34,11 +34,15 @@ struct ProgressSample {
 /// beepmis_serve status endpoint) always sees a complete, parseable JSONL
 /// snapshot — never a torn line. Failures latch: the first I/O error is kept
 /// in error() and later beats become no-ops, so a full disk can't turn a
-/// multi-hour run into a crash loop.
+/// multi-hour run into a crash loop. The path "-" writes no file: each beat
+/// becomes one progress_write_text line on stderr instead.
 class ProgressWriter {
  public:
   /// `keep` bounds the file at the most recent `keep` heartbeats.
   explicit ProgressWriter(std::string path, std::size_t keep = 64);
+
+  /// True when beats render as stderr text lines (path "-").
+  bool to_stderr() const noexcept { return path_ == "-"; }
 
   bool ok() const noexcept { return error_.empty(); }
   const std::string& error() const noexcept { return error_; }
@@ -59,6 +63,10 @@ class ProgressWriter {
 
 /// Writes one beepmis.progress.v1 JSONL line (no trailing newline).
 void progress_write_line(std::ostream& os, const ProgressSample& sample);
+
+/// Renders one heartbeat as a human-readable line (no trailing newline):
+/// every progress.v1 field, the measured ones rounded for reading.
+void progress_write_text(std::ostream& os, const ProgressSample& sample);
 
 /// Strict validation of one parsed progress line: schema tag, the four
 /// deterministic numbers, and a "timing" object with the five measured

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -221,6 +222,72 @@ TEST(Telemetry, ProgressWriterKeepsRingAndLatchesErrors) {
   EXPECT_FALSE(broken.error().empty());
   broken.beat(make_beat(2));  // latched: later beats are no-ops, not crashes
   EXPECT_EQ(broken.beats(), 1u);
+}
+
+TEST(Telemetry, ShardTelemetryMergeSumsTotalsAndKeepsMaxShards) {
+  core::ShardTelemetry a;
+  a.shards = 2;
+  a.rounds = 3;
+  a.phase_ms[0] = 1.0;
+  a.busy_ms = 4.0;
+  a.max_busy_ms = 3.0;
+  a.barrier_wait_ms = 0.5;
+  a.active_vertices = 10;
+  a.coin_beepers = 4;
+  a.crosser_rows = 2;
+  a.settled_candidates = 1;
+  core::ShardTelemetry b = a;
+  b.shards = 4;
+  b.phase_ms[core::kShardPhaseCount - 1] = 2.0;
+  core::ShardTelemetry sum;
+  sum.merge(a);
+  sum.merge(b);
+  EXPECT_EQ(sum.shards, 4u);
+  EXPECT_EQ(sum.rounds, 6u);
+  EXPECT_DOUBLE_EQ(sum.phase_ms[0], 2.0);
+  EXPECT_DOUBLE_EQ(sum.phase_ms[core::kShardPhaseCount - 1], 2.0);
+  EXPECT_DOUBLE_EQ(sum.busy_ms, 8.0);
+  EXPECT_DOUBLE_EQ(sum.max_busy_ms, 6.0);
+  EXPECT_DOUBLE_EQ(sum.barrier_wait_ms, 1.0);
+  EXPECT_EQ(sum.active_vertices, 20u);
+  EXPECT_EQ(sum.coin_beepers, 8u);
+  EXPECT_EQ(sum.crosser_rows, 4u);
+  EXPECT_EQ(sum.settled_candidates, 2u);
+  EXPECT_DOUBLE_EQ(sum.imbalance(), 6.0 / (8.0 / 4.0));
+}
+
+TEST(Telemetry, ProgressTextRendersEveryField) {
+  obs::ProgressSample s = make_beat(64);
+  s.trace_dropped = 7;
+  std::ostringstream os;
+  obs::progress_write_text(os, s);
+  EXPECT_EQ(os.str(),
+            "[beepmis] round=64 budget=1000 active=36 mis=16 rate=2048.0/s "
+            "eta=0.5s imbalance=1.50 rss=1.0MiB trace-dropped=7");
+}
+
+// "-" is the stderr renderer: the same heartbeats as text lines, no file.
+TEST(Telemetry, ProgressWriterDashWritesTextToStderrOnly) {
+  const std::string cwd = std::filesystem::current_path().string();
+  std::filesystem::current_path(::testing::TempDir());
+  std::remove("-");
+  obs::ProgressWriter writer("-");
+  EXPECT_TRUE(writer.to_stderr());
+  ::testing::internal::CaptureStderr();
+  writer.beat(make_beat(16));
+  writer.beat(make_beat(32));
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(writer.ok()) << writer.error();
+  EXPECT_EQ(writer.beats(), 2u);
+  EXPECT_FALSE(std::filesystem::exists("-"));
+  EXPECT_FALSE(std::filesystem::exists("-.tmp"));
+  std::filesystem::current_path(cwd);
+  std::ostringstream expected;
+  obs::progress_write_text(expected, make_beat(16));
+  expected << '\n';
+  obs::progress_write_text(expected, make_beat(32));
+  expected << '\n';
+  EXPECT_EQ(err, expected.str());
 }
 
 // A private labeled pool constructed while no tracing session is live must

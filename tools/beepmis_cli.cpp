@@ -13,7 +13,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 
 #include "src/apps/coloring.hpp"
 #include "src/apps/ruling_set.hpp"
@@ -32,7 +31,6 @@
 #include "src/obs/flight.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/perf.hpp"
 #include "src/obs/progress.hpp"
 #include "src/obs/recovery.hpp"
 #include "src/obs/sink.hpp"
@@ -42,6 +40,7 @@
 #include "src/support/args.hpp"
 #include "src/support/task_pool.hpp"
 #include "src/support/svg.hpp"
+#include "tools/run_options.hpp"
 
 namespace {
 
@@ -85,27 +84,6 @@ graph::Graph load_graph(const support::ArgParser& args, support::Rng& rng) {
   return exp::make_family(f, static_cast<std::size_t>(args.get_int("n")),
                           rng);
 }
-
-/// Heartbeat observer for long runs: prints one status line to stderr every
-/// `every` rounds so a 10^6-round soak is visibly alive. Cheap fields only.
-class ProgressMeter final : public obs::RoundObserver {
- public:
-  explicit ProgressMeter(std::uint64_t every) : every_(every) {}
-
-  std::uint64_t interval() const { return every_; }
-
-  void on_round(const obs::RoundEvent& e) override {
-    if (every_ == 0 || e.round % every_ != 0) return;
-    std::fprintf(stderr,
-                 "[beepmis] round=%llu active=%u mis=%u stable=%u "
-                 "beeps=%u heard=%u\n",
-                 static_cast<unsigned long long>(e.round), e.active, e.mis,
-                 e.stable, e.beeps_ch1 + e.beeps_ch2, e.heard_any);
-  }
-
- private:
-  std::uint64_t every_;
-};
 
 /// Periodic telemetry sampler behind --timeseries-out and --progress-out.
 /// The deterministic fields (round, active, beeps, mis) come straight from
@@ -174,12 +152,11 @@ class TelemetrySampler final : public obs::RoundObserver {
           (*phase_ms)[p] = (tel.phase_ms[p] - last->tel.phase_ms[p]) / dr;
       *barrier_ms =
           (tel.barrier_wait_ms - last->tel.barrier_wait_ms) / dr;
-      const double dbusy = tel.busy_ms - last->tel.busy_ms;
-      const double dmax = tel.max_busy_ms - last->tel.max_busy_ms;
-      *imbalance =
-          dbusy > 0.0 && tel.shards > 0
-              ? dmax / (dbusy / static_cast<double>(tel.shards))
-              : 0.0;
+      core::ShardTelemetry window;
+      window.shards = tel.shards;
+      window.busy_ms = tel.busy_ms - last->tel.busy_ms;
+      window.max_busy_ms = tel.max_busy_ms - last->tel.max_busy_ms;
+      *imbalance = window.imbalance();
       filled = true;
     }
     last->tel = tel;
@@ -248,124 +225,6 @@ class TelemetrySampler final : public obs::RoundObserver {
   TelWindow progress_tel_;
 };
 
-/// Starts a tracing session when --trace-out is given. The context pairs
-/// are reproduced in the trace document; beepmis_report keys its span-
-/// duration table on the algorithm/family/n entries.
-void trace_begin(
-    const support::ArgParser& args,
-    const std::vector<std::pair<std::string, std::string>>& context) {
-  if (args.get("trace-out").empty()) return;
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.clear_context();
-  tracer.set_context("tool", "beepmis_cli");
-  for (const auto& [k, v] : context) tracer.set_context(k, v);
-  tracer.enable(static_cast<std::size_t>(args.get_int("trace-capacity")),
-                static_cast<std::uint64_t>(args.get_int("trace-counters")));
-  obs::Tracer::set_thread_label("main");
-}
-
-/// "t.json" -> "t.chrome.json"; extensionless paths get ".chrome.json".
-std::string trace_chrome_path(const std::string& path) {
-  const std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos || path.find('/', dot) != std::string::npos)
-    return path + ".chrome.json";
-  std::string out = path;
-  out.insert(dot, ".chrome");
-  return out;
-}
-
-/// Ends the tracing session: writes the beepmis.trace.v1 document to
-/// --trace-out and its Chrome/Perfetto conversion beside it. Notices go to
-/// stderr, so sweep stdout stays byte-identical with tracing on or off.
-/// Returns 0, or 2 on I/O or conversion failure.
-int trace_end(const support::ArgParser& args) {
-  const std::string& path = args.get("trace-out");
-  if (path.empty()) return 0;
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.disable();
-
-  std::ostringstream doc;
-  tracer.write_json(doc);
-  {
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot open trace file: " << path << "\n";
-      return 2;
-    }
-    out << doc.str();
-  }
-
-  // The Chrome export round-trips through the real parser, so the written
-  // artifact is validated as a side effect of converting it.
-  obs::JsonValue parsed;
-  std::string error;
-  const std::string chrome_path = trace_chrome_path(path);
-  if (!obs::json_parse(doc.str(), &parsed, &error)) {
-    std::cerr << "trace export failed: " << error << "\n";
-    return 2;
-  }
-  std::ofstream chrome(chrome_path);
-  if (!chrome) {
-    std::cerr << "cannot open trace file: " << chrome_path << "\n";
-    return 2;
-  }
-  if (!obs::trace_export_chrome(parsed, chrome, &error)) {
-    std::cerr << "trace export failed: " << error << "\n";
-    return 2;
-  }
-  std::fprintf(stderr, "wrote %s and %s (trace-dropped=%llu)\n",
-               path.c_str(), chrome_path.c_str(),
-               static_cast<unsigned long long>(tracer.dropped_spans()));
-  return 0;
-}
-
-/// Starts a hardware-profiling session when --profile is given. Mirrors
-/// trace_begin: the context pairs are reproduced in the profile document
-/// (including "m", which beepmis_report divides for cache-misses/edge).
-/// Availability notices go to stderr only, so every non-profile output is
-/// byte-identical with profiling on or off, available or not.
-void profile_begin(
-    const support::ArgParser& args,
-    const std::vector<std::pair<std::string, std::string>>& context) {
-  if (!args.flag("profile")) return;
-  obs::PerfSession& session = obs::PerfSession::instance();
-  session.clear_context();
-  session.set_context("tool", "beepmis_cli");
-  for (const auto& [k, v] : context) session.set_context(k, v);
-  session.enable(static_cast<std::uint64_t>(args.get_int("profile-every")));
-  if (!session.available())
-    std::fprintf(stderr,
-                 "profiling unavailable (perf_event_open denied or no "
-                 "PMU); continuing without counters\n");
-}
-
-/// Ends the profiling session and writes the beepmis.profile.v1 document
-/// to --profile-out — written even when counters were unavailable, so the
-/// artifact itself records "available": false instead of silently missing.
-/// Returns 0, or 2 on I/O failure.
-int profile_end(const support::ArgParser& args) {
-  if (!args.flag("profile")) return 0;
-  obs::PerfSession& session = obs::PerfSession::instance();
-  session.disable();
-  const std::string& path = args.get("profile-out");
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot open profile file: " << path << "\n";
-    return 2;
-  }
-  session.write_json(out);
-  std::fprintf(stderr, "wrote %s (profiling %s)\n", path.c_str(),
-               session.available() ? "available" : "unavailable");
-  return 0;
-}
-
-/// Manifest value for the "obs.profiling" field.
-std::string profiling_state(const support::ArgParser& args) {
-  if (!args.flag("profile")) return "off";
-  return obs::PerfSession::instance().available() ? "available"
-                                                  : "unavailable";
-}
-
 core::InitPolicy parse_init(const std::string& name) {
   for (core::InitPolicy p : core::all_init_policies())
     if (core::init_policy_name(p) == name) return p;
@@ -373,24 +232,10 @@ core::InitPolicy parse_init(const std::string& name) {
   std::exit(2);
 }
 
-/// Anomaly thresholds from the command line — shared by the flight recorder
-/// and the recovery artifact's provenance.
-obs::AnomalyConfig make_anomaly_config(const support::ArgParser& args,
-                                       const graph::Graph& g,
-                                       exp::Variant variant) {
-  obs::AnomalyConfig anomaly;
-  anomaly.n = static_cast<std::uint32_t>(g.vertex_count());
-  anomaly.expected_rounds = exp::default_round_budget(g.vertex_count());
-  anomaly.stall_multiple = args.get_double("anomaly-stall-multiple");
-  anomaly.lemma_window =
-      static_cast<std::uint64_t>(args.get_int("anomaly-lemma-window"));
-  anomaly.storm_fraction = args.get_double("anomaly-storm-fraction");
-  anomaly.storm_window =
-      static_cast<std::uint64_t>(args.get_int("anomaly-storm-window"));
-  // The Lemma 3.1 census exists for the Algorithm 1 variants only; it is
-  // what makes persistent violations detectable (O(n + m)/round).
-  anomaly.check_lemma31 = variant != exp::Variant::TwoChannel;
-  return anomaly;
+/// The run's family label: the generator family, or "file" for a loaded
+/// graph.
+std::string family_label(const support::ArgParser& args) {
+  return args.get("graph-file").empty() ? args.get("family") : "file";
 }
 
 /// Run-identity block shared by the flight-recorder dump and the recovery
@@ -404,7 +249,7 @@ obs::FlightContext make_flight_context(const support::ArgParser& args,
   ctx.tool = "beepmis_cli";
   ctx.seed = seed;
   ctx.graph_name = g.name();
-  ctx.family = args.get("graph-file").empty() ? args.get("family") : "file";
+  ctx.family = family_label(args);
   ctx.n = g.vertex_count();
   ctx.m = g.edge_count();
   ctx.max_degree = g.max_degree();
@@ -433,8 +278,7 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
               << " (try auto, fast, reference)\n";
     std::exit(2);
   }
-  config.shard_threads =
-      static_cast<std::size_t>(args.get_int("shard-threads"));
+  config.shard_threads = tools::thread_option(args, "shard-threads");
   if (const std::string& d = args.get("duplex"); d == "half") {
     config.duplex = beep::Duplex::Half;
   } else if (d != "full") {
@@ -455,23 +299,14 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
   const std::size_t shards =
       support::TaskPool::resolve_thread_count(config.shard_threads);
 
-  trace_begin(args,
-              {{"algorithm", exp::variant_name(variant)},
-               {"family", args.get("graph-file").empty() ? args.get("family")
-                                                         : "file"},
-               {"n", std::to_string(g.vertex_count())},
-               {"seed", args.get("seed")},
-               {"engine", engine->name()},
-               {"shards", std::to_string(shards)}});
-  profile_begin(args,
-                {{"algorithm", exp::variant_name(variant)},
-                 {"family", args.get("graph-file").empty()
-                                ? args.get("family")
-                                : "file"},
-                 {"n", std::to_string(g.vertex_count())},
-                 {"m", std::to_string(g.edge_count())},
-                 {"seed", args.get("seed")},
-                 {"engine", engine->name()}});
+  tools::begin_sessions(args, "beepmis_cli",
+                        {{"algorithm", exp::variant_name(variant)},
+                         {"family", family_label(args)},
+                         {"n", std::to_string(g.vertex_count())},
+                         {"m", std::to_string(g.edge_count())},
+                         {"seed", args.get("seed")},
+                         {"engine", engine->name()},
+                         {"shards", std::to_string(shards)}});
 
   support::Rng init_rng = support::Rng(seed).derive_stream(0xfadedcafe);
   core::apply_init(*engine, parse_init(args.get("init")), init_rng);
@@ -497,9 +332,6 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
                                               /*with_analysis=*/true);
     tee.add(events.get());
   }
-  ProgressMeter progress(
-      static_cast<std::uint64_t>(args.get_int("progress")));
-  if (progress.interval() > 0) tee.add(&progress);
   TelemetrySampler sampler(engine.get(), budget);
   std::unique_ptr<obs::TimeSeries> series;
   if (want_series) {
@@ -510,9 +342,7 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
             std::max<std::int64_t>(1, args.get_int("timeseries-every"))));
     series->set_context("tool", "beepmis_cli");
     series->set_context("algorithm", exp::variant_name(variant));
-    series->set_context("family", args.get("graph-file").empty()
-                                      ? args.get("family")
-                                      : "file");
+    series->set_context("family", family_label(args));
     series->set_context("n", std::to_string(g.vertex_count()));
     series->set_context("seed", args.get("seed"));
     series->set_context("shards", std::to_string(shards));
@@ -530,7 +360,12 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
   if (want_series || want_progress) tee.add(&sampler);
   obs::MemorySink rounds_log;
   if (tracing || charting) tee.add(&rounds_log);
-  const obs::AnomalyConfig anomaly = make_anomaly_config(args, g, variant);
+  obs::AnomalyConfig anomaly = tools::anomaly_thresholds(args);
+  anomaly.n = static_cast<std::uint32_t>(g.vertex_count());
+  anomaly.expected_rounds = exp::default_round_budget(g.vertex_count());
+  // The Lemma 3.1 census exists for the Algorithm 1 variants only; it is
+  // what makes persistent violations detectable (O(n + m)/round).
+  anomaly.check_lemma31 = variant != exp::Variant::TwoChannel;
   std::unique_ptr<obs::FlightRecorder> flight;
   if (const std::string& path = args.get("flight-recorder"); !path.empty()) {
     flight = std::make_unique<obs::FlightRecorder>(
@@ -710,7 +545,7 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
                 static_cast<unsigned long long>(series->recorded()),
                 static_cast<unsigned long long>(series->dropped()));
   }
-  if (progress_writer) {
+  if (progress_writer && !progress_writer->to_stderr()) {
     if (!progress_writer->ok()) {
       std::cerr << "progress stream error: " << progress_writer->error()
                 << "\n";
@@ -726,7 +561,7 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
     man.tool = "beepmis_cli";
     man.seed = seed;
     man.graph_name = g.name();
-    man.family = args.get("graph-file").empty() ? args.get("family") : "file";
+    man.family = family_label(args);
     man.n = g.vertex_count();
     man.m = g.edge_count();
     man.max_degree = g.max_degree();
@@ -752,12 +587,7 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
     man.add_extra("waves", args.get("waves"));
     man.add_extra("noise_fp", args.get("noise-fp"));
     man.add_extra("noise_fn", args.get("noise-fn"));
-    // The manifest is written before the tracing session ends, but the
-    // recorders are quiescent by now (the run is over), so the dropped
-    // count is final.
-    if (!args.get("trace-out").empty())
-      man.trace_dropped = obs::Tracer::instance().dropped_spans();
-    man.profiling = profiling_state(args);
+    tools::record_sessions(args, &man);
     std::ofstream mout(path);
     if (!mout) {
       std::cerr << "cannot open metrics file: " << path << "\n";
@@ -766,8 +596,7 @@ int run_selfstab(const support::ArgParser& args, const graph::Graph& g,
     obs::write_run_json(mout, man, &metrics);
     std::printf("wrote %s\n", path.c_str());
   }
-  if (const int rc = profile_end(args); rc != 0) return rc;
-  if (const int rc = trace_end(args); rc != 0) return rc;
+  if (const int rc = tools::end_sessions(args); rc != 0) return rc;
   return ok ? 0 : 1;
 }
 
@@ -793,14 +622,13 @@ int run_sweep(const support::ArgParser& args, exp::Variant variant,
   cfg.seeds = static_cast<std::size_t>(args.get_int("sweep-seeds"));
   cfg.base_seed = static_cast<std::uint64_t>(args.get_int("seed"));
   cfg.c1 = static_cast<std::int32_t>(args.get_int("c1"));
-  cfg.threads = static_cast<std::size_t>(args.get_int("threads"));
+  cfg.threads = tools::thread_option(args, "threads");
   if (!core::parse_engine_kind(args.get("engine"), &cfg.engine)) {
     std::cerr << "unknown engine: " << args.get("engine")
               << " (try auto, fast, reference)\n";
     return 2;
   }
-  cfg.shard_threads =
-      static_cast<std::size_t>(args.get_int("shard-threads"));
+  cfg.shard_threads = tools::thread_option(args, "shard-threads");
   obs::MetricsRegistry metrics;
   cfg.metrics = &metrics;
 
@@ -837,17 +665,14 @@ int run_sweep(const support::ArgParser& args, exp::Variant variant,
     cfg.observer = events.get();
   }
 
-  trace_begin(args, {{"algorithm", exp::variant_name(variant)},
-                     {"family", exp::family_name(family)},
-                     {"seed", args.get("seed")},
-                     {"mode", "sweep"}});
   // No single n/m: a sweep spans --sizes, so the profile aggregates rounds
   // across every size and the report's per-edge column stays blank.
-  profile_begin(args, {{"algorithm", exp::variant_name(variant)},
-                       {"family", exp::family_name(family)},
-                       {"seed", args.get("seed")},
-                       {"sizes", args.get("sizes")},
-                       {"mode", "sweep"}});
+  tools::begin_sessions(args, "beepmis_cli",
+                        {{"algorithm", exp::variant_name(variant)},
+                         {"family", exp::family_name(family)},
+                         {"seed", args.get("seed")},
+                         {"sizes", args.get("sizes")},
+                         {"mode", "sweep"}});
 
   const auto points = exp::run_scaling_sweep(family, cfg);
   std::cout << exp::sweep_table(points).str();
@@ -922,9 +747,7 @@ int run_sweep(const support::ArgParser& args, exp::Variant variant,
     man.add_extra("seeds_per_size", args.get("sweep-seeds"));
     man.add_extra("threads_requested", args.get("threads"));
     man.add_extra("shard_threads_requested", args.get("shard-threads"));
-    if (!args.get("trace-out").empty())
-      man.trace_dropped = obs::Tracer::instance().dropped_spans();
-    man.profiling = profiling_state(args);
+    tools::record_sessions(args, &man);
     std::ofstream mout(path);
     if (!mout) {
       std::cerr << "cannot open metrics file: " << path << "\n";
@@ -934,8 +757,7 @@ int run_sweep(const support::ArgParser& args, exp::Variant variant,
     std::fprintf(stderr, "wrote %s\n", path.c_str());
   }
 
-  if (const int rc = profile_end(args); rc != 0) return rc;
-  if (const int rc = trace_end(args); rc != 0) return rc;
+  if (const int rc = tools::end_sessions(args); rc != 0) return rc;
   return failures == 0 && invalid == 0 ? 0 : 1;
 }
 
@@ -1066,34 +888,11 @@ int main(int argc, char** argv) {
                   "arm the black-box flight recorder; writes a "
                   "beepmis.dump.v1 JSON to this file when an anomaly "
                   "(stall, Lemma 3.1 persistence, beep storm) fires");
-  args.add_option("progress", "0",
-                  "print a heartbeat to stderr every K rounds (0 = off)");
-  args.add_flag("monitor",
-                "arm the online invariant monitor: checks MIS independence/"
-                "maximality at every stabilization claim and level-range "
-                "sanity every --monitor-every rounds; violations latch into "
-                "the flight recorder and the recovery tracker");
-  args.add_option("monitor-every", "64",
-                  "invariant-probe cadence in rounds for --monitor (each "
-                  "probe is O(n + m); 0 = probe only at stabilization "
-                  "edges)");
   args.add_option("recovery-out", "",
                   "write a deterministic beepmis.recovery.v1 JSON (fault → "
                   "re-stabilization epochs, classified against the Thm "
                   "2.1/2.2 O(log n) bound) to this file; implies recovery "
                   "tracking even without --monitor");
-  args.add_option("anomaly-stall-multiple", "2.0",
-                  "flight-recorder stall threshold: unstabilized past this "
-                  "multiple of the expected O(log n) rounds");
-  args.add_option("anomaly-lemma-window", "64",
-                  "flight-recorder Lemma 3.1 persistence window in "
-                  "analysis-bearing rounds (0 = off)");
-  args.add_option("anomaly-storm-fraction", "0.95",
-                  "flight-recorder beep-storm threshold as a fraction of n "
-                  "hearing per round");
-  args.add_option("anomaly-storm-window", "64",
-                  "flight-recorder beep-storm persistence window in rounds "
-                  "(0 = off)");
   args.add_flag("trace", "print per-round beep statistics after the run");
   args.add_flag("sweep",
                 "scaling-sweep mode (self-stab variants): run --sizes × "
@@ -1122,37 +921,14 @@ int main(int argc, char** argv) {
   args.add_option("progress-out", "",
                   "stream live beepmis.progress.v1 heartbeats (JSONL ring, "
                   "atomic-replace rewrite) to this file: round, rounds/sec, "
-                  "ETA vs budget, peak RSS, shard imbalance, trace drops");
+                  "ETA vs budget, peak RSS, shard imbalance, trace drops; "
+                  "\"-\" prints each heartbeat as a text line to stderr");
   args.add_option("progress-every", "1024",
                   "heartbeat cadence in rounds for --progress-out (0 = only "
                   "the terminal heartbeat)");
-  args.add_option("trace-out", "",
-                  "write a beepmis.trace.v1 span trace to this file plus a "
-                  "Chrome/Perfetto export beside it (<name>.chrome.json); "
-                  "simulation output is unaffected");
-  args.add_option("trace-capacity", "65536",
-                  "per-thread trace ring capacity in records; when it "
-                  "fills, the oldest records are overwritten and counted");
-  args.add_option("trace-counters", "16",
-                  "emit engine counter tracks (active/stable/mis/beeps) "
-                  "every K rounds while tracing (0 = off)");
-  args.add_flag("profile",
-                "attribute hardware perf counters (IPC, cache, branches) "
-                "to engine/sweep/pool spans; degrades to a no-op when "
-                "perf_event_open is denied");
-  args.add_option("profile-out", "profile.json",
-                  "write the beepmis.profile.v1 document here (always "
-                  "written under --profile; records \"available\": false "
-                  "when the kernel denies counters)");
-  args.add_option("profile-every", "64",
-                  "measure every K-th engine round (per-round counter "
-                  "reads are syscalls; coarse spans measure every time)");
+  tools::add_observation_options(args);
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::cerr << error << "\n";
-    return error.rfind("beepmis_cli", 0) == 0 ? 0 : 2;  // --help exits 0
-  }
+  if (int rc = 0; !args.parse_or_exit_code(argc, argv, &rc)) return rc;
 
   const std::string algo = args.get("algorithm");
   if (args.flag("sweep")) {

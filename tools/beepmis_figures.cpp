@@ -116,11 +116,7 @@ void recovery_figure(const std::string& dir) {
 int main(int argc, char** argv) {
   support::ArgParser args("beepmis_figures — render experiment SVGs");
   args.add_option("out-dir", ".", "directory for the .svg files");
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::cerr << error << "\n";
-    return 2;
-  }
+  if (int rc = 0; !args.parse_or_exit_code(argc, argv, &rc)) return rc;
   const std::string dir = args.get("out-dir");
   scaling_figure(dir);
   convergence_figure(dir);

@@ -84,11 +84,9 @@ int main(int argc, char** argv) {
   args.add_option("json-out", "", "also write a beepmis.report.v1 JSON file");
   args.add_flag("quiet", "suppress the markdown report on stdout");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::cerr << error << '\n';
-    return 1;
-  }
+  // Exit 2 reports a benchmark regression here, so usage errors exit 1.
+  if (int rc = 0; !args.parse_or_exit_code(argc, argv, &rc))
+    return rc == 0 ? 0 : 1;
 
   const std::vector<std::string> inputs = split_list(args.get("in"));
   if (inputs.empty() && args.get("baseline").empty()) {
@@ -97,6 +95,7 @@ int main(int argc, char** argv) {
   }
 
   obs::ReportBuilder builder;
+  std::string error;
   for (const std::string& path : inputs) {
     if (!obs::report_ingest_file(builder, path, &error)) {
       std::cerr << "beepmis_report: " << error << '\n';

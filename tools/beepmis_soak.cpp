@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,12 +22,12 @@
 #include "src/obs/flight.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/perf.hpp"
 #include "src/obs/recovery.hpp"
 #include "src/obs/timing.hpp"
 #include "src/obs/trace.hpp"
 #include "src/support/args.hpp"
 #include "src/support/task_pool.hpp"
+#include "tools/run_options.hpp"
 
 namespace {
 
@@ -61,21 +60,15 @@ Scenario draw_scenario(support::Rng& rng) {
   return s;
 }
 
-/// Per-run knobs shared by every scenario: anomaly-detector thresholds and
-/// the optional invariant monitor (all settable from the command line).
-struct SoakKnobs {
-  bool monitor = false;
-  std::uint64_t monitor_every = 64;
-  double stall_multiple = 2.0;
-  std::uint64_t lemma_window = 64;
-  double storm_fraction = 0.95;
-  std::uint64_t storm_window = 64;
-};
-
+/// Runs one scenario under the flight recorder (`thresholds` from the
+/// command line) and, when `monitor_config` is non-null, the invariant
+/// monitor.
 bool run_scenario(const Scenario& s, std::uint64_t seed,
                   core::EngineKind kind, std::size_t shard_threads,
                   obs::MetricsRegistry& metrics,
-                  const std::string& dump_path, const SoakKnobs& knobs,
+                  const std::string& dump_path,
+                  const obs::AnomalyConfig& thresholds,
+                  const obs::InvariantConfig* monitor_config,
                   obs::RecoverySummary* recovery_out,
                   core::ShardTelemetry* shard_out) {
   obs::ScopedTimer timer(&metrics, "soak.scenario");
@@ -97,13 +90,9 @@ bool run_scenario(const Scenario& s, std::uint64_t seed,
   // a beepmis.dump.v1 post-mortem behind even though soak keeps no event
   // log. The Lemma 3.1 census stays off — soak mixes variants and the
   // O(n + m)/round analysis would dominate the stress budget.
-  obs::AnomalyConfig anomaly;
+  obs::AnomalyConfig anomaly = thresholds;
   anomaly.n = static_cast<std::uint32_t>(g.vertex_count());
   anomaly.expected_rounds = exp::default_round_budget(g.vertex_count()) * 4;
-  anomaly.stall_multiple = knobs.stall_multiple;
-  anomaly.lemma_window = knobs.lemma_window;
-  anomaly.storm_fraction = knobs.storm_fraction;
-  anomaly.storm_window = knobs.storm_window;
   obs::FlightContext ctx;
   ctx.tool = "beepmis_soak";
   ctx.seed = seed;
@@ -137,12 +126,12 @@ bool run_scenario(const Scenario& s, std::uint64_t seed,
   rcfg.recovery_bound = exp::default_round_budget(g.vertex_count()) * 4;
   obs::RecoveryTracker recovery(rcfg);
   recovery.set_probe(core::make_invariant_probe(*engine));
-  obs::InvariantConfig icfg;
-  icfg.cadence = knobs.monitor_every;
-  obs::InvariantMonitor monitor(icfg);
+  obs::InvariantMonitor monitor(monitor_config != nullptr
+                                    ? *monitor_config
+                                    : obs::InvariantConfig{});
   obs::TeeObserver tee;
   tee.add(&flight);
-  if (knobs.monitor) {
+  if (monitor_config != nullptr) {
     monitor.set_probe(core::make_invariant_probe(*engine));
     monitor.set_flight_recorder(&flight);
     monitor.set_recovery_tracker(&recovery);
@@ -201,47 +190,7 @@ bool run_scenario(const Scenario& s, std::uint64_t seed,
 std::string task_dump_path(const std::string& base, std::uint64_t ordinal,
                            bool parallel) {
   if (!parallel) return base;
-  const std::size_t dot = base.rfind('.');
-  const std::string suffix = ".t" + std::to_string(ordinal);
-  if (dot == std::string::npos || base.find('/', dot) != std::string::npos)
-    return base + suffix;
-  return base.substr(0, dot) + suffix + base.substr(dot);
-}
-
-/// Writes the tracing session's beepmis.trace.v1 document plus its
-/// Chrome/Perfetto conversion ("<name>.chrome.json"). Returns false on I/O
-/// or conversion failure.
-bool write_trace_files(const std::string& path) {
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.disable();
-  std::ostringstream doc;
-  tracer.write_json(doc);
-  {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open trace file: %s\n", path.c_str());
-      return false;
-    }
-    out << doc.str();
-  }
-  std::string chrome_path = path;
-  const std::size_t dot = chrome_path.rfind('.');
-  if (dot == std::string::npos || chrome_path.find('/', dot) != std::string::npos)
-    chrome_path += ".chrome.json";
-  else
-    chrome_path.insert(dot, ".chrome");
-  obs::JsonValue parsed;
-  std::string error;
-  std::ofstream chrome(chrome_path);
-  if (!obs::json_parse(doc.str(), &parsed, &error) || !chrome ||
-      !obs::trace_export_chrome(parsed, chrome, &error)) {
-    std::fprintf(stderr, "trace export failed: %s\n", error.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "wrote %s and %s (trace-dropped=%llu)\n", path.c_str(),
-               chrome_path.c_str(),
-               static_cast<unsigned long long>(tracer.dropped_spans()));
-  return true;
+  return tools::path_with_infix(base, ".t" + std::to_string(ordinal));
 }
 
 }  // namespace
@@ -257,37 +206,15 @@ int main(int argc, char** argv) {
   args.add_option("heartbeat", "0",
                   "print scenario-count heartbeat to stderr every K seconds "
                   "(0 = off)");
-  args.add_option("progress-every", "0",
-                  "unified cadence alias for --heartbeat (seconds, matching "
-                  "the beepmis_cli flag name); wins when nonzero");
   args.add_option("metrics-out", "",
                   "write run manifest + metrics JSON to this file at exit");
   args.add_option("flight-dump", "soak.dump.json",
                   "beepmis.dump.v1 path for the always-on flight recorder "
                   "(written when a scenario stalls or beep-storms)");
-  args.add_flag("monitor",
-                "arm the online invariant monitor on every scenario "
-                "(independence/maximality at stabilization claims, "
-                "level-range every --monitor-every rounds)");
-  args.add_option("monitor-every", "64",
-                  "invariant-probe cadence in rounds for --monitor "
-                  "(each probe is O(n + m))");
   args.add_option("recovery-out", "",
                   "write a summary-only beepmis.recovery.v1 JSON at exit, "
                   "folded over every scenario in draw order (identical for "
                   "every --threads value under a --scenarios budget)");
-  args.add_option("anomaly-stall-multiple", "2.0",
-                  "flight-recorder stall threshold: unstabilized past this "
-                  "multiple of the expected rounds");
-  args.add_option("anomaly-lemma-window", "64",
-                  "flight-recorder Lemma 3.1 persistence window in "
-                  "analysis-bearing rounds (0 = off)");
-  args.add_option("anomaly-storm-fraction", "0.95",
-                  "flight-recorder beep-storm threshold as a fraction of n "
-                  "hearing per round");
-  args.add_option("anomaly-storm-window", "64",
-                  "flight-recorder beep-storm persistence window in rounds "
-                  "(0 = off)");
   args.add_option("engine", "auto",
                   "executor: auto | fast | reference — auto alternates "
                   "randomly per scenario so both executors get soak coverage");
@@ -299,67 +226,25 @@ int main(int argc, char** argv) {
                   "worker threads INSIDE each fast-engine round (0 = one "
                   "per hardware thread); when != 1 the heartbeat reports "
                   "phase-imbalance from the folded shard telemetry");
-  args.add_option("trace-out", "",
-                  "write a beepmis.trace.v1 span trace to this file at exit "
-                  "(plus a <name>.chrome.json Perfetto conversion)");
-  args.add_option("trace-capacity", "65536",
-                  "per-thread trace ring capacity in records");
-  args.add_option("trace-counters", "16",
-                  "emit engine counter tracks every K rounds (0 = off)");
-  args.add_flag("profile",
-                "attribute hardware perf counters to engine/pool spans; "
-                "degrades to a no-op when perf_event_open is denied");
-  args.add_option("profile-out", "soak.profile.json",
-                  "write the beepmis.profile.v1 document here at exit");
-  args.add_option("profile-every", "64",
-                  "measure every K-th engine round under --profile");
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
+  tools::add_observation_options(args);
+  if (int rc = 0; !args.parse_or_exit_code(argc, argv, &rc)) return rc;
   core::EngineKind requested;
   if (!core::parse_engine_kind(args.get("engine"), &requested)) {
     std::fprintf(stderr, "unknown engine: %s (try auto, fast, reference)\n",
                  args.get("engine").c_str());
     return 2;
   }
-  const auto shard_threads =
-      static_cast<std::size_t>(args.get_int("shard-threads"));
-
+  const std::size_t shard_threads = tools::thread_option(args, "shard-threads");
+  const std::size_t threads = tools::thread_option(args, "threads");
   const bool tracing = !args.get("trace-out").empty();
-  if (tracing) {
-    obs::Tracer& tracer = obs::Tracer::instance();
-    tracer.clear_context();
-    tracer.set_context("tool", "beepmis_soak");
-    tracer.set_context("seed", args.get("seed"));
-    tracer.set_context("engine", args.get("engine"));
-    tracer.enable(static_cast<std::size_t>(args.get_int("trace-capacity")),
-                  static_cast<std::uint64_t>(args.get_int("trace-counters")));
-    obs::Tracer::set_thread_label("main");
-  }
-
-  const bool profiling = args.flag("profile");
-  if (profiling) {
-    obs::PerfSession& session = obs::PerfSession::instance();
-    session.clear_context();
-    session.set_context("tool", "beepmis_soak");
-    session.set_context("seed", args.get("seed"));
-    session.set_context("engine", args.get("engine"));
-    session.enable(
-        static_cast<std::uint64_t>(args.get_int("profile-every")));
-    if (!session.available())
-      std::fprintf(stderr,
-                   "profiling unavailable (perf_event_open denied or no "
-                   "PMU); continuing without counters\n");
-  }
+  tools::begin_sessions(args, "beepmis_soak",
+                        {{"seed", args.get("seed")},
+                         {"engine", args.get("engine")}});
 
   const auto budget = std::chrono::seconds(args.get_int("seconds"));
   const auto scenario_cap =
       static_cast<std::uint64_t>(args.get_int("scenarios"));
-  const auto heartbeat = std::chrono::seconds(
-      args.get_int("progress-every") > 0 ? args.get_int("progress-every")
-                                         : args.get_int("heartbeat"));
+  const auto heartbeat = std::chrono::seconds(args.get_int("heartbeat"));
   const auto start = std::chrono::steady_clock::now();
   auto next_beat = start + heartbeat;
   support::Rng scenario_rng(static_cast<std::uint64_t>(args.get_int("seed")));
@@ -367,16 +252,11 @@ int main(int argc, char** argv) {
   std::uint64_t runs = 0;
   bool failed = false;
 
-  SoakKnobs knobs;
-  knobs.monitor = args.flag("monitor");
-  knobs.monitor_every =
+  const obs::AnomalyConfig thresholds = tools::anomaly_thresholds(args);
+  const bool monitoring = args.flag("monitor");
+  obs::InvariantConfig monitor_config;
+  monitor_config.cadence =
       static_cast<std::uint64_t>(args.get_int("monitor-every"));
-  knobs.stall_multiple = args.get_double("anomaly-stall-multiple");
-  knobs.lemma_window =
-      static_cast<std::uint64_t>(args.get_int("anomaly-lemma-window"));
-  knobs.storm_fraction = args.get_double("anomaly-storm-fraction");
-  knobs.storm_window =
-      static_cast<std::uint64_t>(args.get_int("anomaly-storm-window"));
   obs::RecoverySummary recovery_total;
 
   // Scenario execution goes through the worker pool in small batches: the
@@ -385,8 +265,7 @@ int main(int argc, char** argv) {
   // registries, and the coordinator folds scratches back in draw order.
   // Each task carries its own flight recorder and dump path, so anomaly
   // post-mortems stay self-contained under parallelism.
-  support::TaskPool pool(support::TaskPool::resolve_thread_count(
-      static_cast<std::size_t>(args.get_int("threads"))));
+  support::TaskPool pool(support::TaskPool::resolve_thread_count(threads));
   const bool parallel = pool.thread_count() > 1;
   // Two batches worth of tasks per dispatch keeps all workers busy without
   // letting the deterministic fold lag far behind the wall clock.
@@ -426,7 +305,8 @@ int main(int argc, char** argv) {
           run_scenario(s, seed, kind, shard_threads,
                        outcomes[i].scratch,
                        task_dump_path(dump_base, ordinal + i, parallel),
-                       knobs, &outcomes[i].recovery, &outcomes[i].telemetry);
+                       thresholds, monitoring ? &monitor_config : nullptr,
+                       &outcomes[i].recovery, &outcomes[i].telemetry);
     });
     for (std::size_t i = 0; i < batch; ++i) {
       metrics.counter("soak.scenarios_total").inc();
@@ -435,20 +315,8 @@ int main(int argc, char** argv) {
       // coordinator-owned aggregation the metrics use — so the artifact is
       // byte-identical for every --threads value.
       recovery_total.merge(outcomes[i].recovery);
-      if (const core::ShardTelemetry& tel = outcomes[i].telemetry;
-          tel.rounds > 0) {
-        shard_total.shards = std::max(shard_total.shards, tel.shards);
-        shard_total.rounds += tel.rounds;
-        for (std::size_t p = 0; p < core::kShardPhaseCount; ++p)
-          shard_total.phase_ms[p] += tel.phase_ms[p];
-        shard_total.busy_ms += tel.busy_ms;
-        shard_total.max_busy_ms += tel.max_busy_ms;
-        shard_total.barrier_wait_ms += tel.barrier_wait_ms;
-        shard_total.active_vertices += tel.active_vertices;
-        shard_total.coin_beepers += tel.coin_beepers;
-        shard_total.crosser_rows += tel.crosser_rows;
-        shard_total.settled_candidates += tel.settled_candidates;
-      }
+      if (outcomes[i].telemetry.rounds > 0)
+        shard_total.merge(outcomes[i].telemetry);
       if (!outcomes[i].ok) {
         metrics.counter("soak.violations").inc();
         std::fprintf(stderr, "soak FAILED after %llu scenarios\n",
@@ -506,8 +374,8 @@ int main(int argc, char** argv) {
     report.context.engine = core::engine_kind_name(requested);
     report.context.add_extra("scenarios", std::to_string(runs));
     report.config.recovery_bound = 0;  // per-scenario (4× the O(log n) budget)
-    report.monitor = knobs.monitor;
-    report.monitor_cadence = knobs.monitor ? knobs.monitor_every : 0;
+    report.monitor = monitoring;
+    report.monitor_cadence = monitoring ? monitor_config.cadence : 0;
     report.summary = recovery_total;
     std::ofstream rout(path);
     if (!rout) {
@@ -518,21 +386,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrote %s\n", path.c_str());
   }
 
-  if (tracing && !write_trace_files(args.get("trace-out"))) return 2;
-
-  if (profiling) {
-    obs::PerfSession& session = obs::PerfSession::instance();
-    session.disable();
-    const std::string& path = args.get("profile-out");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open profile file: %s\n", path.c_str());
-      return 2;
-    }
-    session.write_json(out);
-    std::fprintf(stderr, "wrote %s (profiling %s)\n", path.c_str(),
-                 session.available() ? "available" : "unavailable");
-  }
+  if (const int rc = tools::end_sessions(args); rc != 0) return rc;
 
   if (const std::string& path = args.get("metrics-out"); !path.empty()) {
     obs::RunManifest man;
@@ -543,12 +397,7 @@ int main(int argc, char** argv) {
     man.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - start)
                       .count();
-    if (tracing)
-      man.trace_dropped = obs::Tracer::instance().dropped_spans();
-    man.profiling = !profiling ? "off"
-                    : obs::PerfSession::instance().available()
-                        ? "available"
-                        : "unavailable";
+    tools::record_sessions(args, &man);
     man.add_extra("scenarios", std::to_string(runs));
     man.add_extra("recovery_epochs", std::to_string(recovery_total.epochs));
     man.add_extra("engine", core::engine_kind_name(requested));

@@ -33,11 +33,7 @@ int main(int argc, char** argv) {
                   " / rgg-avg8 through the streaming generators (no edge"
                   " list in memory — supports n up to 10^7)");
 
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::cerr << error << "\n";
-    return 2;
-  }
+  if (int rc = 0; !args.parse_or_exit_code(argc, argv, &rc)) return rc;
 
   support::Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
   const auto n = static_cast<std::size_t>(args.get_int("n"));

@@ -284,11 +284,7 @@ int main(int argc, char** argv) {
                   "for timeseries.v1/progress.v1 inputs: also write the "
                   "deterministic (timing-stripped) projection here — the "
                   "form the CI determinism gates diff across shard counts");
-  std::string error;
-  if (!args.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
+  if (int rc = 0; !args.parse_or_exit_code(argc, argv, &rc)) return rc;
   const std::string path = args.get("in");
   if (path.empty()) {
     std::fprintf(stderr, "trace_check: --in is required\n");
@@ -304,6 +300,7 @@ int main(int argc, char** argv) {
   body << in.rdbuf();
 
   JsonValue doc;
+  std::string error;
   if (!beepmis::obs::json_parse(body.str(), &doc, &error)) {
     // Not one JSON document. A progress heartbeat file is JSONL (one object
     // per line) — try that shape before declaring the input invalid.
